@@ -43,9 +43,9 @@ func TestClusterMatchesInProcess(t *testing.T) {
 		t.Fatalf("cluster dims %d/%d", c.N(), c.M())
 	}
 	for _, p := range Protocols() {
-		// The deprecated wrapper and the ctx front door must agree with
-		// each other and across backends.
-		want, err := db.RunDistributed(Query{K: 7}, p)
+		// The in-process and cluster front doors must agree across
+		// backends.
+		want, err := db.ExecDistributed(context.Background(), Query{K: 7}, p)
 		if err != nil {
 			t.Fatalf("%v in-process: %v", p, err)
 		}
@@ -61,11 +61,11 @@ func TestClusterMatchesInProcess(t *testing.T) {
 				t.Errorf("%v answer %d: %+v vs %+v", p, i, got.Items[i], want.Items[i])
 			}
 		}
-		if got.Stats.Messages != want.Stats.Messages || got.Stats.Payload != want.Stats.Payload ||
-			got.Stats.Rounds != want.Stats.Rounds || got.Stats.TotalAccesses != want.Stats.TotalAccesses {
+		if g, w := got.Stats.Net, want.Stats.Net; g.Messages != w.Messages || g.Payload != w.Payload ||
+			g.Rounds != w.Rounds || g.TotalAccesses != w.TotalAccesses {
 			t.Errorf("%v stats diverge: %+v vs %+v", p, got.Stats, want.Stats)
 		}
-		if got.Stats.Elapsed <= 0 {
+		if got.Stats.Net.Elapsed <= 0 {
 			t.Errorf("%v: cluster run reported no elapsed time", p)
 		}
 	}
@@ -85,16 +85,16 @@ func TestClusterValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := startCluster(t, db)
-	if _, err := c.RunDistributed(Query{K: 0}, DistBPA2); err == nil {
+	if _, err := c.Exec(context.Background(), Query{K: 0}, DistBPA2); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := c.RunDistributed(Query{K: 99}, DistBPA2); err == nil {
+	if _, err := c.Exec(context.Background(), Query{K: 99}, DistBPA2); err == nil {
 		t.Error("k>n accepted")
 	}
-	if _, err := c.RunDistributed(Query{K: 1}, Protocol(42)); err == nil {
+	if _, err := c.Exec(context.Background(), Query{K: 1}, Protocol(42)); err == nil {
 		t.Error("unknown protocol accepted")
 	}
-	if _, err := c.RunDistributed(Query{K: 1, Scoring: Min()}, TPUT); err == nil {
+	if _, err := c.Exec(context.Background(), Query{K: 1, Scoring: Min()}, TPUT); err == nil {
 		t.Error("TPUT with Min accepted")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"strings"
-	"sync"
 	"time"
 
 	"topk/internal/bestpos"
@@ -15,7 +14,8 @@ import (
 	"topk/internal/transport"
 )
 
-// Protocol selects a distributed top-k protocol for RunDistributed.
+// Protocol selects a distributed top-k protocol for ExecDistributed and
+// Cluster.Exec.
 type Protocol uint8
 
 const (
@@ -147,10 +147,10 @@ type TraceSpan struct {
 	// Owner is the list whose owner served the exchange.
 	Owner int `json:"owner"`
 	// Replica is the serving replica's index within the list's replica
-	// set; -1 for the in-process backends.
+	// set; -1 for the in-process backend.
 	Replica int `json:"replica"`
-	// URL is the serving replica's base URL ("loopback" or "concurrent"
-	// for the in-process backends).
+	// URL is the serving replica's base URL ("loopback" for the
+	// in-process backend).
 	URL string `json:"url"`
 	// Kind is the wire message kind ("sorted", "lookup", "probe", ...;
 	// "batch" for a round-coalesced envelope).
@@ -159,11 +159,11 @@ type TraceSpan struct {
 	// size for a coalesced exchange.
 	Msgs int `json:"msgs"`
 	// ReqBytes and RespBytes are the encoded wire sizes; zero for the
-	// in-process backends, which never serialize.
+	// in-process backend, which never serializes.
 	ReqBytes  int `json:"req_bytes"`
 	RespBytes int `json:"resp_bytes"`
 	// Duration is the exchange's round-trip time: real time over HTTP,
-	// the latency model's virtual cost under the concurrent simulation.
+	// the handler time of the in-process simulation.
 	Duration time.Duration `json:"duration"`
 	// Attempts counts wire attempts spent (1 plus retries).
 	Attempts int `json:"attempts"`
@@ -195,8 +195,7 @@ func traceSpansOf(spans []transport.Span) []TraceSpan {
 
 // DistStats reports the accounting of a distributed run: the stable
 // network profile in Net and the failures the run absorbed in
-// Recovery. The flat fields mirror Net for callers written against the
-// pre-recovery layout; they are deprecated and will be removed.
+// Recovery.
 type DistStats struct {
 	// Net is the network profile — identical to an undisturbed run even
 	// when the query was restarted or handed off.
@@ -208,21 +207,6 @@ type DistStats struct {
 	// WithTrace; nil otherwise. On a restarted query it covers the
 	// completing attempt — the one Net accounts for.
 	Trace []TraceSpan
-
-	// Deprecated: read Net.Messages.
-	Messages int64
-	// Deprecated: read Net.Payload.
-	Payload int64
-	// Deprecated: read Net.Rounds.
-	Rounds int
-	// Deprecated: read Net.Exchanges.
-	Exchanges int64
-	// Deprecated: read Net.PerOwner (same backing array).
-	PerOwner []int64
-	// Deprecated: read Net.TotalAccesses.
-	TotalAccesses int64
-	// Deprecated: read Net.Elapsed.
-	Elapsed time.Duration
 }
 
 // DistResult is a completed distributed query.
@@ -253,34 +237,25 @@ func runnerFor(protocol Protocol) (func(context.Context, transport.Transport, di
 // distStatsOf adapts a dist result's accounting. PerOwner is copied:
 // the runner's slice is live internal accounting state, and handing it
 // out would let a caller's mutation corrupt anything else derived from
-// the same run (the DHT pricing reads it too). The deprecated flat
-// mirrors share that one copy with Net.PerOwner.
+// the same run (the DHT pricing reads it too).
 func distStatsOf(res *dist.Result) DistStats {
-	net := NetStats{
-		Messages:      res.Net.Messages,
-		Payload:       res.Net.Payload,
-		Rounds:        res.Net.Rounds,
-		Exchanges:     res.Net.Exchanges,
-		PerOwner:      append([]int64(nil), res.Net.PerOwner...),
-		TotalAccesses: res.Accesses.Total(),
-		Elapsed:       res.Elapsed,
-	}
 	return DistStats{
-		Net: net,
+		Net: NetStats{
+			Messages:      res.Net.Messages,
+			Payload:       res.Net.Payload,
+			Rounds:        res.Net.Rounds,
+			Exchanges:     res.Net.Exchanges,
+			PerOwner:      append([]int64(nil), res.Net.PerOwner...),
+			TotalAccesses: res.Accesses.Total(),
+			Elapsed:       res.Elapsed,
+		},
 		Recovery: RecoveryStats{
 			Restarts:       res.Recovery.Restarts,
 			Handoffs:       res.Recovery.Handoffs,
 			FailedReplicas: res.Recovery.FailedReplicas,
 			Backpressure:   res.Recovery.Backpressure,
 		},
-		Trace:         traceSpansOf(res.Trace),
-		Messages:      net.Messages,
-		Payload:       net.Payload,
-		Rounds:        net.Rounds,
-		Exchanges:     net.Exchanges,
-		PerOwner:      net.PerOwner,
-		TotalAccesses: net.TotalAccesses,
-		Elapsed:       net.Elapsed,
+		Trace: traceSpansOf(res.Trace),
 	}
 }
 
@@ -290,8 +265,8 @@ func distStatsOf(res *dist.Result) DistStats {
 // cursors of exactly one pinned replica. Normally a pinned replica's
 // death is absorbed by the session handoff — the session re-pins to a
 // sibling that mirrors its state — so this error surfaces only when no
-// synced sibling exists: a flat (unreplicated) list, handoff disabled
-// (ClusterConfig.DisableHandoff), or every sibling already failed. The
+// synced sibling exists: a flat (unreplicated) list, or every sibling
+// already failed (including a sibling that dropped out of sync). The
 // error names the list and replica; rerunning the query opens a fresh
 // session pinned to a live replica — ClusterConfig.Restart (or
 // WithRestart) does that rerun automatically. Stateless traffic (TA/BPA
@@ -556,16 +531,6 @@ func (db *Database) ExecDistributed(ctx context.Context, q Query, protocol Proto
 	return runOver(ctx, t, q, protocol, db.NameOf, resolveExec(execSettings{}, opts))
 }
 
-// RunDistributed executes the query in the simulated distributed setting
-// without a context.
-//
-// Deprecated: use ExecDistributed, which adds cancellation and
-// deadlines; RunDistributed is equivalent to
-// ExecDistributed(context.Background(), q, protocol).
-func (db *Database) RunDistributed(q Query, protocol Protocol) (*DistResult, error) {
-	return db.ExecDistributed(context.Background(), q, protocol)
-}
-
 // RoutingPolicy selects which replica of a list serves each exchange of
 // a cluster query (see ClusterConfig.Policy).
 type RoutingPolicy uint8
@@ -678,9 +643,6 @@ type ClusterConfig struct {
 	BreakerThreshold int
 	// BreakerCooldown is the first open interval (default 1s).
 	BreakerCooldown time.Duration
-	// Wire selects the data-plane codec: "" or "auto" (binary when every
-	// owner advertises it), "json", "binary". See Cluster.SetWire.
-	Wire string
 	// Restart is the default restart policy of this cluster's queries:
 	// when a query dies on a failing replica, rerun it from scratch on
 	// the survivors instead of surfacing the error. Default RestartOff.
@@ -690,13 +652,6 @@ type ClusterConfig struct {
 	// 1+MaxRestarts attempts. 0 means DefaultMaxRestarts; negative means
 	// no reruns. Override per query with WithMaxRestarts.
 	MaxRestarts int
-	// DisableHandoff turns off the session-state handoff that lets a
-	// sessionful query survive its pinned replica's death by re-pinning
-	// to a sibling that mirrors the session state. With handoff off, a
-	// pinned replica's death surfaces as *OwnerFailedError (or triggers
-	// a whole-query restart when Restart allows one) — the pre-handoff
-	// behaviour, and a useful baseline when measuring handoff's cost.
-	DisableHandoff bool
 	// Logger receives the cluster client's structured recovery log:
 	// replica health transitions, mirror promotions and session
 	// handoffs, at slog.LevelInfo and below. nil discards them.
@@ -727,47 +682,16 @@ type Cluster struct {
 	// defaults are the dial-time per-query settings (restart policy and
 	// budget from ClusterConfig) that ExecOptions override.
 	defaults execSettings
-	// mu serializes the SetWire guard against the first Exec: check and
-	// set must be one step, or a SetWire racing the first query could
-	// slip past ErrClusterStarted and flip the codec mid-flight.
-	mu      sync.Mutex
-	started bool
-}
-
-// markStarted records that a query has run; SetWire refuses afterwards.
-func (c *Cluster) markStarted() {
-	c.mu.Lock()
-	c.started = true
-	c.mu.Unlock()
-}
-
-// parseWireFormat maps the ClusterConfig/SetWire wire names onto the
-// transport's codec selector.
-func parseWireFormat(format string) (transport.WireFormat, error) {
-	switch format {
-	case "", "auto":
-		return transport.WireAuto, nil
-	case "json":
-		return transport.WireJSON, nil
-	case "binary", "bin":
-		return transport.WireBinary, nil
-	default:
-		return 0, fmt.Errorf("topk: unknown wire format %q (want auto, json or binary)", format)
-	}
 }
 
 // DialClusterConfig connects to the owner processes of a declarative
 // cluster topology. The dial handshake — bounded by ctx — validates
-// every reachable replica (list index, list length, cluster width) and
-// negotiates the wire codec; replicas that are down at dial time are
-// tolerated as long as each list has at least one reachable replica,
-// and revived by the background health prober when they return. Close
-// the returned cluster to stop the prober and release connections.
+// every reachable replica (list index, list length, cluster width);
+// replicas that are down at dial time are tolerated as long as each
+// list has at least one reachable replica, and revived by the
+// background health prober when they return. Close the returned cluster
+// to stop the prober and release connections.
 func DialClusterConfig(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
-	wire, err := parseWireFormat(cfg.Wire)
-	if err != nil {
-		return nil, err
-	}
 	t, err := transport.Dial(ctx, transport.DialConfig{
 		Topology:         cfg.Topology,
 		Policy:           transport.RoutingPolicy(cfg.Policy),
@@ -778,8 +702,6 @@ func DialClusterConfig(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		BackoffCap:       cfg.BackoffCap,
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,
-		Wire:             wire,
-		DisableHandoff:   cfg.DisableHandoff,
 		Logger:           cfg.Logger,
 	})
 	if err != nil {
@@ -799,44 +721,14 @@ func DialClusterConfig(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 // request is bounded by a per-request timeout and — when replaying it
 // cannot change what the query observes — retried once on transient
 // failures (connection errors, 5xx), with the failing owner named in
-// the returned error.
-//
-// The dial handshake also negotiates the wire codec: the compact binary
-// codec when every owner advertises it, JSON otherwise (see SetWire).
-// For replicated lists, routing policies and mid-query failover, see
-// DialClusterConfig.
+// the returned error. For replicated lists, routing policies and
+// mid-query failover, see DialClusterConfig.
 func DialCluster(owners []string) (*Cluster, error) {
 	topo := make([][]string, len(owners))
 	for i, o := range owners {
 		topo[i] = []string{o}
 	}
 	return DialClusterConfig(context.Background(), ClusterConfig{Topology: topo})
-}
-
-// ErrClusterStarted reports a SetWire call after the cluster already
-// executed a query. The wire preference is client state shared by every
-// session, so flipping it under in-flight queries would be a data race
-// on the encoding path; set it before the first Exec, or declare it in
-// ClusterConfig.Wire.
-var ErrClusterStarted = errors.New("topk: SetWire after the cluster executed a query; set the wire before the first Exec (or use ClusterConfig.Wire)")
-
-// SetWire overrides the cluster's negotiated wire codec: "auto" (the
-// default — binary when every owner advertises it), "json" (the
-// debugging fallback), or "binary" (forced). Call it before the first
-// Exec — afterwards it fails with ErrClusterStarted; answers and
-// accounting are identical either way, only bytes on the wire differ.
-func (c *Cluster) SetWire(format string) error {
-	wf, err := parseWireFormat(format)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.started {
-		return ErrClusterStarted
-	}
-	c.t.SetWireFormat(wf)
-	return nil
 }
 
 // N returns the shared list length of the cluster.
@@ -897,18 +789,7 @@ func (c *Cluster) Health() []ReplicaHealth {
 // WithTimeout). Item names are left empty: the originator holds no
 // dictionary.
 func (c *Cluster) Exec(ctx context.Context, q Query, protocol Protocol, opts ...ExecOption) (*DistResult, error) {
-	c.markStarted()
 	return runOver(ctx, c.t, q, protocol, nil, resolveExec(c.defaults, opts))
-}
-
-// RunDistributed executes the query against the cluster without a
-// context.
-//
-// Deprecated: use Exec, which adds cancellation and deadlines;
-// RunDistributed is equivalent to Exec(context.Background(), q,
-// protocol).
-func (c *Cluster) RunDistributed(q Query, protocol Protocol) (*DistResult, error) {
-	return c.Exec(context.Background(), q, protocol)
 }
 
 // Close stops the cluster's background health prober and releases its
@@ -948,7 +829,6 @@ type UpdateAck struct {
 // Owners serving read-only lists reject updates — start them with
 // updates enabled (topk-owner -mutable).
 func (c *Cluster) SendUpdate(ctx context.Context, owner int, feed string, seq uint64, updates []ScoreUpdate) (UpdateAck, error) {
-	c.markStarted()
 	ups := make([]transport.ScoreUpdate, len(updates))
 	for i, u := range updates {
 		ups[i] = transport.ScoreUpdate{Item: list.ItemID(u.Item), Delta: u.Delta}

@@ -59,19 +59,6 @@
 // stream (Next false, Err reports why), and everything delivered before
 // the deadline remains a correct prefix of the ranking.
 //
-// # Migration from the pre-context API
-//
-// The context-free signatures remain as thin deprecated wrappers, each
-// exactly equivalent to its replacement under context.Background():
-//
-//	db.TopK(q)                    -> db.Exec(ctx, q)
-//	db.Progressive(q)             -> db.ProgressiveCtx(ctx, q)
-//	db.RunDistributed(q, p)       -> db.ExecDistributed(ctx, q, p)
-//	cluster.RunDistributed(q, p)  -> cluster.Exec(ctx, q, p)
-//
-// Answers, Stats and access accounting are bit-identical between a
-// wrapper and its ctx form; only cancellation behavior is new.
-//
 // # Distributed execution
 //
 // ExecDistributed executes the query in the paper's distributed setting
@@ -109,26 +96,27 @@
 // releasing its owner-side session.
 //
 // The protocols are pure originator logic over internal/transport's
-// message vocabulary, so one protocol runs unchanged over three
+// message vocabulary, so one protocol runs unchanged over both
 // backends with bit-identical answers, traffic accounting and access
 // counts — only the wall-clock measure differs:
 //
-//	backend     delivery                    rounds cost (wall-clock)
-//	Loopback    in-process, sequential      zero (simulation default)
-//	Concurrent  per-owner goroutines        max over owners per fan-out,
-//	            + injectable latency model  virtual clock, no sleeping
-//	HTTP        real owner servers,         real network time
-//	            binary or JSON wire
+//	backend     delivery                  rounds cost (wall-clock)
+//	Loopback    in-process, sequential    zero (simulation default), or with
+//	                                      a latency model: max over owners
+//	                                      per fan-out, virtual clock, no
+//	                                      sleeping
+//	HTTP        real owner servers,       real network time
+//	            binary wire
 //
-// Under the Concurrent backend a protocol round costs its slowest
-// owner, not the sum of all owners, which is what makes the round
-// structure measurable: TPUT/TPUTA finish in three fan-outs at any
-// latency, TA/BPA pay a round-trip chain per sorted depth, and BPA2
-// pays fewer, probe-chained rounds (BenchmarkTransport sweeps this at
-// 1ms/10ms/50ms per exchange; BenchmarkConcurrentSessions measures
-// queries/sec as concurrent originators grow).
+// Under a latency model a protocol round costs its slowest owner, not
+// the sum of all owners, which is what makes the round structure
+// measurable: TPUT/TPUTA finish in three fan-outs at any latency, TA/BPA
+// pay a round-trip chain per sorted depth, and BPA2 pays fewer,
+// probe-chained rounds (BenchmarkTransport sweeps this at 1ms/10ms/50ms
+// per exchange; BenchmarkConcurrentSessions measures queries/sec as
+// concurrent originators grow).
 //
-// # Round coalescing and the wire codecs
+// # Round coalescing and the wire codec
 //
 // The transport hot path is coalesced per round: all the logical
 // messages a protocol round sends to one owner travel as a single
@@ -137,29 +125,29 @@
 // trigger m-1 lookups per owner per round, collapse from m round-trips
 // per round to two; BPA2 and TPUT already address each owner at most
 // once per fan-out and are untouched. Batching is per-owner, per-round,
-// single-session wire mechanics: DistStats.Messages, Payload and
+// single-session wire mechanics: DistStats.Net.Messages, Payload and
 // PerOwner keep charging the logical messages (the paper's cost
-// metrics), while DistStats.Exchanges counts the wire round-trips a
+// metrics), while DistStats.Net.Exchanges counts the wire round-trips a
 // deployment actually pays.
 //
-// On the HTTP backend each exchange travels in one of two codecs,
-// negotiated at dial time via Content-Type: a length-prefixed
-// little-endian binary encoding (the default whenever every owner
-// advertises it in the handshake, and the only wire that carries the
-// +Inf best-position piggyback natively), with JSON retained as the
-// fallback for old owners and for debugging (Cluster.SetWire,
-// topk-query -wire json). Measured on the seeded uniform workload
-// (n=2000, m=4, k=10), whole-query wire traffic shrinks by 58-73%:
+// On the HTTP backend each exchange travels as one length-prefixed
+// little-endian binary frame (Content-Type application/x-topk-binary;
+// owners answer any other data-plane Content-Type with 415), which
+// carries scores — the +Inf best-position piggyback included — as raw
+// IEEE-754 bits. JSON stays on the control plane (sessions, stats,
+// filters) and on the debug endpoints. Whole-query wire traffic on the
+// seeded uniform workload (n=2000, m=4, k=10):
 //
-//	protocol   JSON bytes/query   binary bytes/query   reduction
-//	dist-ta        438,370            141,984             68%
-//	dist-bpa       583,270            156,672             73%
-//	dist-bpa2      289,880            121,024             58%
-//	tput           244,164             72,412             70%
+//	protocol   binary bytes/query
+//	dist-ta        141,984
+//	dist-bpa       156,672
+//	dist-bpa2      136,640
+//	tput            72,412
+//	tput-a          72,412
 //
-// (BenchmarkCodec regenerates these per protocol; answers and all
-// accounting are bit-identical across codecs and backends — the parity
-// suite pins both wires.)
+// (TestBinaryCodecQueryBytes pins these; BenchmarkCodec prices the
+// encode/decode path. Answers and all accounting are bit-identical
+// across backends — the parity suite pins it.)
 //
 // The HTTP backend is a real cluster: cmd/topk-owner serves one list
 // per process, and DialCluster (or topk-query -owners) drives the same
@@ -222,7 +210,7 @@
 //	                                                 mirror is only ever behind
 //	                                                 by the failed exchange
 //
-// With no sibling left to hand off to (or handoff disabled), sessionful
+// With no synced sibling left to hand off to, sessionful
 // failures surface as *OwnerFailedError naming the list and replica,
 // and the restart policy decides whether the query is transparently
 // rerun on the survivors.
@@ -232,9 +220,8 @@
 // Two mechanisms together make replica death invisible to callers —
 // zero failed queries as long as each list keeps one live replica.
 //
-// Session handoff (owner side, always on unless
-// ClusterConfig.DisableHandoff): after every successful sessionful
-// exchange the client synchronously mirrors the pinned replica's state
+// Session handoff (owner side, always on): after every successful
+// sessionful exchange the client synchronously mirrors the pinned replica's state
 // delta — positions newly seen, scan depth — to one sibling replica of
 // that list, over uncharged control-plane endpoints (POST /session/sync,
 // GET /session/state). The mirror is therefore always exactly the pin's
@@ -261,11 +248,8 @@
 // single-owner run whatever handoffs or restarts happened, because the
 // client-side ledger charges each logical access exactly once and
 // restarted attempts report only the final run — and Recovery, which
-// tallies Restarts, Handoffs and FailedReplicas for the run. The
-// flat DistStats fields (Messages, Payload, Rounds, Exchanges,
-// PerOwner, TotalAccesses, Elapsed) are deprecated mirrors of Net kept
-// for one release; read Net.* (and Recovery) instead. /v1/dist reports
-// the same split as "net" and "recovery" JSON blocks and accepts a
+// tallies Restarts, Handoffs and FailedReplicas for the run. /v1/dist
+// reports the same split as "net" and "recovery" JSON blocks and accepts a
 // restart= query parameter; topk-query prints the recovery line under
 // -verbose, or whenever any recovery happened.
 //
@@ -383,10 +367,10 @@
 // prefixed topk_ (full details atop internal/transport/metrics.go):
 //
 //	topk_owner_exchanges_total{kind} / _exchange_seconds{kind} / _exchange_errors_total{kind}
-//	topk_owner_wire_bytes_total{codec,direction}
+//	topk_owner_wire_bytes_total{codec,direction}                 (codec is always "binary")
 //	topk_owner_sessions_open / _opened_total / _closed_total / _evicted_total / _session_syncs_total
 //	topk_client_exchanges_total{kind} / _exchange_seconds{kind} / _exchange_errors_total{kind}
-//	topk_client_wire_bytes_total{codec,direction} / _exchange_bytes
+//	topk_client_wire_bytes_total{codec,direction} / _exchange_bytes  (codec is always "binary")
 //	topk_client_retries_total / _failovers_total / _handoffs_total / _mirror_promotions_total
 //	topk_client_replica_failures_total / _health_transitions_total{to}
 //	topk_client_replica_healthy{list,replica} / _probe_ewma_seconds{list,replica}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -37,7 +38,8 @@ func main() {
 	}
 	fmt.Printf("corpus: %d documents, %d keyword lists\n\n", db.N(), db.M())
 
-	res, err := db.TopK(topk.Query{K: topN})
+	ctx := context.Background()
+	res, err := db.Exec(ctx, topk.Query{K: topN})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 	fmt.Println("\nwork per algorithm for the same query:")
 	fmt.Printf("  %-5s  %9s  %12s  %9s\n", "alg", "accesses", "exec cost", "stop pos")
 	for _, alg := range []topk.Algorithm{topk.TA, topk.BPA, topk.BPA2} {
-		r, err := db.TopK(topk.Query{K: topN, Algorithm: alg})
+		r, err := db.Exec(ctx, topk.Query{K: topN, Algorithm: alg})
 		if err != nil {
 			log.Fatal(err)
 		}

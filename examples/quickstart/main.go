@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,8 @@ func main() {
 	}
 
 	// Default query: BPA2 with the Sum scoring function.
-	res, err := db.TopK(topk.Query{K: 2})
+	ctx := context.Background()
+	res, err := db.Exec(ctx, topk.Query{K: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func main() {
 	fmt.Println("algorithm comparison on the same query:")
 	fmt.Printf("  %-6s  %6s  %6s  %6s  %6s  %8s\n", "alg", "sorted", "random", "direct", "total", "cost")
 	for _, alg := range topk.Algorithms() {
-		r, err := db.TopK(topk.Query{K: 2, Algorithm: alg})
+		r, err := db.Exec(ctx, topk.Query{K: 2, Algorithm: alg})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wres, err := db.TopK(topk.Query{K: 1, Scoring: weighted})
+	wres, err := db.Exec(ctx, topk.Query{K: 1, Scoring: weighted})
 	if err != nil {
 		log.Fatal(err)
 	}

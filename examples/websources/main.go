@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -47,7 +48,7 @@ func main() {
 		fmt.Printf("%s — top-%d of %d restaurants by rating + proximity\n",
 			workload.name, keep, restaurants)
 		for _, alg := range []topk.Algorithm{topk.TA, topk.BPA} {
-			res, err := db.TopK(topk.Query{K: keep, Algorithm: alg, Sortable: sortable})
+			res, err := db.Exec(context.Background(), topk.Query{K: keep, Algorithm: alg, Sortable: sortable})
 			if err != nil {
 				log.Fatal(err)
 			}

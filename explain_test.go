@@ -2,6 +2,7 @@ package topk
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -88,7 +89,7 @@ func TestWithOnRound(t *testing.T) {
 	q := Query{K: 3, Algorithm: BPA2}.WithOnRound(func(r Round) {
 		rounds = append(rounds, r)
 	})
-	if _, err := db.TopK(q); err != nil {
+	if _, err := db.Exec(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if len(rounds) == 0 {
@@ -116,7 +117,7 @@ func TestWithOnRoundDoesNotMutateOriginal(t *testing.T) {
 		t.Error("WithOnRound mutated the receiver")
 	}
 	// The original query still runs without observation.
-	if _, err := db.TopK(q); err != nil {
+	if _, err := db.Exec(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -32,12 +33,12 @@ func TestExtendedAlgorithmsFacade(t *testing.T) {
 // item set as the exact default, with valid lower-bound scores.
 func TestNRACASetCorrectness(t *testing.T) {
 	db := ballotDB(t)
-	exact, err := db.TopK(Query{K: 3})
+	exact, err := db.Exec(context.Background(), Query{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{NRA, CA} {
-		res, err := db.TopK(Query{K: 3, Algorithm: alg})
+		res, err := db.Exec(context.Background(), Query{K: 3, Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -61,11 +62,11 @@ func TestNRACASetCorrectness(t *testing.T) {
 
 func TestNRAFloorsThroughFacade(t *testing.T) {
 	db := ballotDB(t)
-	if _, err := db.TopK(Query{K: 1, Algorithm: NRA, Floors: []float64{0, 0}}); err == nil ||
+	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: NRA, Floors: []float64{0, 0}}); err == nil ||
 		!strings.Contains(err.Error(), "floors") {
 		t.Errorf("wrong-arity floors not rejected: %v", err)
 	}
-	res, err := db.TopK(Query{K: 1, Algorithm: NRA, Floors: []float64{0, 0, 0}})
+	res, err := db.Exec(context.Background(), Query{K: 1, Algorithm: NRA, Floors: []float64{0, 0, 0}})
 	if err != nil {
 		t.Fatalf("sound floors rejected: %v", err)
 	}
@@ -76,10 +77,10 @@ func TestNRAFloorsThroughFacade(t *testing.T) {
 
 func TestCAPeriodThroughFacade(t *testing.T) {
 	db := ballotDB(t)
-	if _, err := db.TopK(Query{K: 1, Algorithm: CA, CAPeriod: -2}); err == nil {
+	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: CA, CAPeriod: -2}); err == nil {
 		t.Error("negative CA period accepted")
 	}
-	res, err := db.TopK(Query{K: 2, Algorithm: CA, CAPeriod: 1})
+	res, err := db.Exec(context.Background(), Query{K: 2, Algorithm: CA, CAPeriod: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +96,11 @@ func TestParallelQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{TA, BPA, BPA2} {
-		seq, err := db.TopK(Query{K: 10, Algorithm: alg})
+		seq, err := db.Exec(context.Background(), Query{K: 10, Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := db.TopK(Query{K: 10, Algorithm: alg, Parallel: true})
+		par, err := db.Exec(context.Background(), Query{K: 10, Algorithm: alg, Parallel: true})
 		if err != nil {
 			t.Fatalf("%v parallel: %v", alg, err)
 		}
@@ -117,10 +118,10 @@ func TestParallelQuery(t *testing.T) {
 		}
 	}
 	// Unsupported parallel combinations fail loudly.
-	if _, err := db.TopK(Query{K: 1, Algorithm: FA, Parallel: true}); err == nil {
+	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: FA, Parallel: true}); err == nil {
 		t.Error("parallel FA accepted")
 	}
-	if _, err := db.TopK(Query{K: 1, Algorithm: NRA, Parallel: true}); err == nil {
+	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: NRA, Parallel: true}); err == nil {
 		t.Error("parallel NRA accepted")
 	}
 }
@@ -128,11 +129,11 @@ func TestParallelQuery(t *testing.T) {
 func TestIntervalTrackerThroughFacade(t *testing.T) {
 	db := ballotDB(t)
 	for _, alg := range []Algorithm{BPA, BPA2} {
-		def, err := db.TopK(Query{K: 3, Algorithm: alg})
+		def, err := db.Exec(context.Background(), Query{K: 3, Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		iv, err := db.TopK(Query{K: 3, Algorithm: alg, Tracker: IntervalTracker})
+		iv, err := db.Exec(context.Background(), Query{K: 3, Algorithm: alg, Tracker: IntervalTracker})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +240,7 @@ func TestInexactFlagSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.TopK(Query{K: 1, Algorithm: NRA})
+	res, err := db.Exec(context.Background(), Query{K: 1, Algorithm: NRA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestInexactFlagSurfaced(t *testing.T) {
 		t.Error("Inexact not surfaced through the facade")
 	}
 	// The exact algorithms never set it.
-	exact, err := db.TopK(Query{K: 1})
+	exact, err := db.Exec(context.Background(), Query{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +264,12 @@ func TestInexactFlagSurfaced(t *testing.T) {
 // restricted-access variants and refuses the rest.
 func TestRestrictedAccessFacade(t *testing.T) {
 	db := ballotDB(t)
-	exact, err := db.TopK(Query{K: 3})
+	exact, err := db.Exec(context.Background(), Query{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{TA, BPA} {
-		res, err := db.TopK(Query{K: 3, Algorithm: alg, Sortable: []bool{true, false, true}})
+		res, err := db.Exec(context.Background(), Query{K: 3, Algorithm: alg, Sortable: []bool{true, false, true}})
 		if err != nil {
 			t.Fatalf("%v restricted: %v", alg, err)
 		}
@@ -279,16 +280,16 @@ func TestRestrictedAccessFacade(t *testing.T) {
 			}
 		}
 	}
-	if _, err := db.TopK(Query{K: 1, Algorithm: BPA2, Sortable: []bool{true, false, true}}); err == nil {
+	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: BPA2, Sortable: []bool{true, false, true}}); err == nil {
 		t.Error("restricted BPA2 accepted")
 	}
-	if _, err := db.TopK(Query{K: 1, Algorithm: TA, Sortable: []bool{false, false, false}}); err == nil {
+	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: TA, Sortable: []bool{false, false, false}}); err == nil {
 		t.Error("no-sortable-lists query accepted")
 	}
-	if _, err := db.TopK(Query{K: 1, Algorithm: TA, Sortable: []bool{true, false, true}, Parallel: true}); err == nil {
+	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: TA, Sortable: []bool{true, false, true}, Parallel: true}); err == nil {
 		t.Error("restricted parallel query accepted")
 	}
-	if _, err := db.TopK(Query{K: 1, Algorithm: TA, Sortable: []bool{true, false, true}, Ceilings: []float64{0, 0, 0}}); err == nil {
+	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: TA, Sortable: []bool{true, false, true}, Ceilings: []float64{0, 0, 0}}); err == nil {
 		t.Error("unsound ceilings accepted")
 	}
 }

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -48,7 +49,7 @@ func TestIntegrationGenerateSaveLoadQuery(t *testing.T) {
 		}
 		// Centralized: every algorithm.
 		for _, alg := range Algorithms() {
-			res, err := db.TopK(Query{K: k, Algorithm: alg})
+			res, err := db.Exec(context.Background(), Query{K: k, Algorithm: alg})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, alg, err)
 			}
@@ -61,7 +62,7 @@ func TestIntegrationGenerateSaveLoadQuery(t *testing.T) {
 		}
 		// Distributed: every protocol.
 		for _, p := range Protocols() {
-			res, err := db.RunDistributed(Query{K: k}, p)
+			res, err := db.ExecDistributed(context.Background(), Query{K: k}, p)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, p, err)
 			}
@@ -105,15 +106,15 @@ func TestIntegrationAccessOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 20
-	ta, err := db.TopK(Query{K: k, Algorithm: TA})
+	ta, err := db.Exec(context.Background(), Query{K: k, Algorithm: TA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bpa, err := db.TopK(Query{K: k, Algorithm: BPA})
+	bpa, err := db.Exec(context.Background(), Query{K: k, Algorithm: BPA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bpa2, err := db.TopK(Query{K: k, Algorithm: BPA2})
+	bpa2, err := db.Exec(context.Background(), Query{K: k, Algorithm: BPA2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestIntegrationAccessOrdering(t *testing.T) {
 		t.Errorf("BPA2 accesses %d not below TA %d",
 			bpa2.Stats.TotalAccesses(), ta.Stats.TotalAccesses())
 	}
-	approx, err := db.TopK(Query{K: k, Algorithm: BPA2, Approximation: 2})
+	approx, err := db.Exec(context.Background(), Query{K: k, Algorithm: BPA2, Approximation: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,6 @@ func TestLiveFlagValidation(t *testing.T) {
 				"-dist does not apply with -follow"},
 			{"follow with explain", []string{"-follow", "-serve", "http://x", "-explain"},
 				"-explain does not apply with -follow"},
-			{"follow with wire", []string{"-follow", "-serve", "http://x", "-wire", "binary"},
-				"-wire does not apply with -follow"},
 			{"follow with policy", []string{"-follow", "-serve", "http://x", "-policy", "fastest"},
 				"-policy does not apply with -follow"},
 			{"follow with restart", []string{"-follow", "-serve", "http://x", "-restart", "failed"},

@@ -33,7 +33,6 @@ func Query(args []string, stdout, stderr io.Writer) int {
 		distFlag = fs.Bool("dist", false, "run the distributed protocols and print message counts")
 		owners   = fs.String("owners", "", "cluster topology for cluster mode: lists comma-separated, replicas of a list |-separated (host:a|host:b,host:c); list i's addresses must serve list i")
 		proto    = fs.String("protocol", "bpa2", "distributed protocol for -owners: bpa2, bpa, ta, tput, tput-a")
-		wire     = fs.String("wire", "auto", "wire codec for -owners: auto (binary when every owner supports it), json, binary")
 		policy   = fs.String("policy", "primary", "replica routing policy for -owners: primary, round-robin, fastest")
 		restart  = fs.String("restart", "off", "restart policy for -owners: off, failed (rerun queries that died on a failing replica), always")
 		verbose  = fs.Bool("verbose", false, "with -owners, also print the per-replica health table (state, EWMA latency, failures, failovers)")
@@ -67,7 +66,7 @@ func Query(args []string, stdout, stderr io.Writer) int {
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "db", "csv", "owners", "alg", "approx", "parallel", "compare",
-				"dist", "explain", "trace", "verbose", "wire", "policy", "restart":
+				"dist", "explain", "trace", "verbose", "policy", "restart":
 				conflict = f.Name
 			}
 		})
@@ -101,7 +100,7 @@ func Query(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "topk-query: %v\n", err)
 			return 1
 		}
-		return clusterQuery(*owners, *proto, *wire, *policy, *restart, *k, *verbose, *trace, sc, stdout, stderr)
+		return clusterQuery(*owners, *proto, *policy, *restart, *k, *verbose, *trace, sc, stdout, stderr)
 	}
 
 	// -restart only means something against a cluster: it is a recovery
@@ -110,7 +109,7 @@ func Query(args []string, stdout, stderr io.Writer) int {
 	var clusterOnly string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "restart", "policy", "wire", "trace":
+		case "restart", "policy", "trace":
 			clusterOnly = f.Name
 		}
 	})
@@ -159,7 +158,7 @@ func Query(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "%-10s  skipped: %v\n", p, err)
 				continue
 			}
-			fmt.Fprintf(stdout, "%-10s  %12d  %12d  %8d\n", p, res.Stats.Messages, res.Stats.Payload, res.Stats.Rounds)
+			fmt.Fprintf(stdout, "%-10s  %12d  %12d  %8d\n", p, res.Stats.Net.Messages, res.Stats.Net.Payload, res.Stats.Net.Rounds)
 		}
 		return 0
 	}
@@ -204,7 +203,7 @@ func Query(args []string, stdout, stderr io.Writer) int {
 // replicas by the chosen policy and fail over when a replica dies
 // mid-query. Ctrl-C / SIGTERM cancels the in-flight query (releasing
 // its owner-side session) instead of killing the process mid-exchange.
-func clusterQuery(owners, proto, wire, policy, restart string, k int, verbose, trace bool, sc topk.Scoring, stdout, stderr io.Writer) int {
+func clusterQuery(owners, proto, policy, restart string, k int, verbose, trace bool, sc topk.Scoring, stdout, stderr io.Writer) int {
 	p, err := topk.ParseProtocol(proto)
 	if err != nil {
 		fmt.Fprintf(stderr, "topk-query: %v\n", err)
@@ -230,7 +229,6 @@ func clusterQuery(owners, proto, wire, policy, restart string, k int, verbose, t
 	cluster, err := topk.DialClusterConfig(ctx, topk.ClusterConfig{
 		Topology: topo,
 		Policy:   pol,
-		Wire:     wire,
 		Restart:  rp,
 	})
 	if err != nil {

@@ -10,8 +10,9 @@
 // messages with the owners — it never touches a list directly. The
 // message vocabulary and the owner nodes live in internal/transport; the
 // protocols here drive any transport.Transport, so the same originator
-// code runs over the deterministic in-process backend (Loopback), the
-// parallel latency-modeled backend (Concurrent) and real HTTP owners.
+// code runs over the deterministic in-process backend (Loopback, with an
+// optional latency model whose virtual clock prices each round's owners
+// as serving concurrently) and real HTTP owners.
 // Every list access goes through an access.Probe at the owner (so the
 // paper's access metrics fall out by construction), and every message
 // and every response scalar is tallied in Result.Net — what travels, or
@@ -157,7 +158,7 @@ type Result struct {
 	// undisturbed run, with the disturbance accounted here.
 	Recovery Recovery
 	// Elapsed is the transport's wall-clock measure of the run: zero
-	// over Loopback, simulated time under Concurrent's latency model,
+	// over a plain Loopback, simulated time under a latency Loopback,
 	// real time over HTTP. The one backend-specific Result field.
 	Elapsed time.Duration
 	// Trace holds one span per wire exchange when the run was traced

@@ -91,13 +91,13 @@ func TestTraceSpanInvariants(t *testing.T) {
 				for i, sp := range traced.Trace {
 					switch name {
 					case "loopback", "concurrent":
-						if sp.Replica != -1 || sp.URL != name {
+						if sp.Replica != -1 || sp.URL != "loopback" {
 							t.Errorf("span %d: in-process span names replica %d url %q", i, sp.Replica, sp.URL)
 						}
 						if sp.ReqBytes != 0 || sp.RespBytes != 0 {
 							t.Errorf("span %d: in-process span carries wire bytes %d/%d", i, sp.ReqBytes, sp.RespBytes)
 						}
-					default: // http, http-json
+					default: // http
 						if sp.Replica < 0 || sp.URL == "" {
 							t.Errorf("span %d: HTTP span missing replica/url: %+v", i, sp)
 						}

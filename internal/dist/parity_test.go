@@ -35,26 +35,28 @@ var overProtocols = []struct {
 }
 
 // backends builds one instance of every transport backend over the same
-// database: Loopback, Concurrent under a latency model, and HTTP against
-// httptest owner servers — once under the negotiated binary wire codec
-// and once forced to the JSON fallback, so parity pins both wires.
+// database: Loopback, Loopback under a latency model ("concurrent": the
+// virtual clock of owners serving each round concurrently), and HTTP
+// against httptest owner servers.
 func backends(t *testing.T, db *list.Database) map[string]transport.Transport {
 	t.Helper()
 	lb, err := transport.NewLoopback(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := transport.NewConcurrent(db, transport.ConstantLatency(time.Millisecond))
+	return map[string]transport.Transport{
+		"loopback": lb, "concurrent": latencyLoopback(t, db, time.Millisecond), "http": httpCluster(t, db),
+	}
+}
+
+// latencyLoopback builds a Loopback priced at a constant round-trip.
+func latencyLoopback(t *testing.T, db *list.Database, rtt time.Duration) transport.Transport {
+	t.Helper()
+	lb, err := transport.NewLatencyLoopback(db, transport.ConstantLatency(rtt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cc.Close() })
-	hc := httpCluster(t, db)
-	hcJSON := httpCluster(t, db)
-	hcJSON.SetWireFormat(transport.WireJSON)
-	return map[string]transport.Transport{
-		"loopback": lb, "concurrent": cc, "http": hc, "http-json": hcJSON,
-	}
+	return lb
 }
 
 // httpCluster serves every list of db over httptest owners and dials
@@ -82,7 +84,8 @@ func httpCluster(t *testing.T, db *list.Database) *transport.HTTPClient {
 // TestBackendsBitIdentical is the cross-backend parity suite: every
 // protocol must produce bit-identical answers, Net accounting (messages,
 // payload, rounds, per-owner traffic) and access counts over Loopback,
-// Concurrent and HTTP on the seeded uniform and correlated workloads.
+// latency Loopback and HTTP on the seeded uniform and correlated
+// workloads.
 // Only Elapsed — the wall-clock measure — may differ, which is why it
 // lives outside Net.
 func TestBackendsBitIdentical(t *testing.T) {
@@ -101,7 +104,7 @@ func TestBackendsBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/loopback: %v", dbName, p.name, err)
 				}
-				for _, backend := range []string{"concurrent", "http", "http-json"} {
+				for _, backend := range []string{"concurrent", "http"} {
 					t.Run(fmt.Sprintf("%s/%s/k=%d/%s", dbName, p.name, k, backend), func(t *testing.T) {
 						got, err := p.run(ctx, bks[backend], opts)
 						if err != nil {
@@ -287,12 +290,7 @@ func TestCancellationAllBackends(t *testing.T) {
 			return lb
 		},
 		"concurrent": func(t *testing.T) transport.Transport {
-			cc, err := transport.NewConcurrent(db, transport.ConstantLatency(time.Millisecond))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { cc.Close() })
-			return cc
+			return latencyLoopback(t, db, time.Millisecond)
 		},
 		"http": func(t *testing.T) transport.Transport {
 			return httpCluster(t, db)
@@ -372,10 +370,11 @@ func TestCancellationReleasesSessions(t *testing.T) {
 // accounting: under a constant per-exchange round-trip, a protocol's
 // simulated wall-clock is bounded below by its non-empty rounds (TPUT's
 // phase 3 can resolve nothing and cost nothing) and strictly above-bound
-// by the full serialization of all its exchanges — overlapping the
-// owners is the backend's whole point. TPUT's three batched rounds must
-// beat the per-access protocols by a wide margin; that fixed-round
-// advantage is exactly what the uniform-threshold design buys.
+// by the full serialization of all its exchanges — the virtual clock
+// prices the owners of a round as serving concurrently. TPUT's three
+// batched rounds must beat the per-access protocols by a wide margin;
+// that fixed-round advantage is exactly what the uniform-threshold
+// design buys.
 func TestConcurrentLatencyRounds(t *testing.T) {
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 300, M: 4, Seed: 9})
 	ctx := context.Background()
@@ -383,16 +382,11 @@ func TestConcurrentLatencyRounds(t *testing.T) {
 	elapsed := make(map[string]time.Duration)
 	rounds := make(map[string]int)
 	for _, p := range overProtocols {
-		cc, err := transport.NewConcurrent(db, transport.ConstantLatency(rtt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.run(ctx, cc, Options{K: 8, Scoring: score.Sum{}})
+		res, err := p.run(ctx, latencyLoopback(t, db, rtt), Options{K: 8, Scoring: score.Sum{}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		elapsed[p.name], rounds[p.name] = res.Elapsed, res.Net.Rounds
-		cc.Close()
 		exchanges := res.Net.Messages / 2
 		if min := time.Duration(res.Net.Rounds-1) * rtt; res.Elapsed < min {
 			t.Errorf("%s: elapsed %v below one round-trip per non-empty round (%v)", p.name, res.Elapsed, min)

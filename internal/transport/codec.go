@@ -9,34 +9,23 @@ import (
 	"topk/internal/list"
 )
 
-// The binary wire codec of the HTTP backend: every message travels as one
+// The wire codec of the HTTP data plane: every message travels as one
 // length-prefixed little-endian frame,
 //
 //	[1 byte kind code][4 bytes LE payload length][payload]
 //
 // with fixed-width scalars in the payload (u32 positions/items/counts,
-// IEEE-754 bits for scores). Scores round-trip bit-exactly — including
-// the +Inf best-position piggyback, which JSON cannot carry and the Upper
-// type works around on the fallback path — and a typical exchange shrinks
-// to a fifth of its JSON size. Batch frames nest one level: the payload
+// IEEE-754 bits for scores). Scores round-trip bit-exactly, including the
+// +Inf best-position piggyback. Batch frames nest one level: the payload
 // is a u32 message count followed by that many inner frames.
 //
-// The codec is negotiated out of band: owners advertise "binary" in the
-// Codecs field of their dial handshake, the client ships binary bodies
-// under ContentTypeBinary when every owner does, and the JSON codec
-// remains both the fallback for old owners and the debugging surface
-// (force it with HTTPClient.SetWireFormat or topk-query -wire json).
+// Every /rpc body travels under ContentTypeBinary; the control plane
+// (sessions, stats, filters) and error payloads speak JSON.
 
-// Content types of the two wire codecs.
+// Content types of the data plane and of the JSON control plane.
 const (
-	ContentTypeJSON   = "application/json"
 	ContentTypeBinary = "application/x-topk-binary"
-)
-
-// Codec names advertised in the dial handshake (OwnerStats.Codecs).
-const (
-	CodecJSON   = "json"
-	CodecBinary = "binary"
+	ContentTypeJSON   = "application/json"
 )
 
 // MaxBatch bounds the inner messages of one batch frame — far above any
@@ -226,7 +215,7 @@ func AppendResponseBinary(dst []byte, resp Response) ([]byte, error) {
 				f |= flagEmpty
 			}
 			b = append(b, f)
-			b = appendF64(b, float64(r.BestScore))
+			b = appendF64(b, r.BestScore)
 			if !r.Empty {
 				b = appendEntry(b, r.Entry)
 				b = appendU32(b, uint32(r.Pos))
@@ -239,7 +228,7 @@ func AppendResponseBinary(dst []byte, resp Response) ([]byte, error) {
 			}
 			b = append(b, f)
 			b = appendF64(b, r.Score)
-			b = appendF64(b, float64(r.BestScore))
+			b = appendF64(b, r.BestScore)
 			return appendU32(b, uint32(r.Pos)), nil
 		case TopKResp:
 			b = appendU32(b, uint32(len(r.Entries)))
@@ -453,8 +442,8 @@ func decodeRequestFrame(b []byte, allowBatch bool) (Request, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// n == 0 decodes to a nil slice, matching the JSON codec, so the
-		// two codecs round-trip to DeepEqual-identical messages.
+		// n == 0 decodes to a nil slice, so an empty fetch round-trips to
+		// a DeepEqual-identical message.
 		var items []list.ItemID
 		for i := 0; i < n; i++ {
 			v, err := r.u32()
@@ -477,7 +466,7 @@ func decodeRequestFrame(b []byte, allowBatch bool) (Request, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// n == 0 decodes to a nil slice, matching the JSON codec.
+		// n == 0 decodes to a nil slice, as for fetches.
 		var ups []ScoreUpdate
 		for i := 0; i < n; i++ {
 			item, err := r.u32()
@@ -575,7 +564,7 @@ func decodeResponseFrame(b []byte, allowBatch bool) (Response, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		pr := ProbeResp{BestScore: Upper(best), Exhausted: f&flagExhausted != 0, Empty: f&flagEmpty != 0}
+		pr := ProbeResp{BestScore: best, Exhausted: f&flagExhausted != 0, Empty: f&flagEmpty != 0}
 		if !pr.Empty {
 			if pr.Entry, err = r.entry(); err != nil {
 				return nil, nil, err
@@ -604,7 +593,7 @@ func decodeResponseFrame(b []byte, allowBatch bool) (Response, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		resp = MarkResp{Score: score, BestScore: Upper(best), Exhausted: f&flagExhausted != 0, Pos: int(int32(pos))}
+		resp = MarkResp{Score: score, BestScore: best, Exhausted: f&flagExhausted != 0, Pos: int(int32(pos))}
 	case codeTopK:
 		entries, err := decodeEntries(&r)
 		if err != nil {
@@ -691,8 +680,7 @@ func decodeEntries(r *reader) ([]list.Entry, error) {
 	}
 	if n == 0 {
 		// Preserve nil for empty entry lists: AboveResp builds its slice
-		// with append, so nil is what the owner handler produced and what
-		// the JSON codec round-trips.
+		// with append, so nil is what the owner handler produced.
 		return nil, nil
 	}
 	entries := make([]list.Entry, n)

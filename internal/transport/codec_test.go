@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -40,18 +39,17 @@ func codecRequests() []Request {
 }
 
 // codecResponses is one of every response shape, including the +Inf
-// best-position piggyback the JSON codec needs Upper for and the binary
-// codec must carry natively.
+// best-position piggyback the codec must carry natively.
 func codecResponses() []Response {
 	e := list.Entry{Item: 42, Score: 0.7071067811865476}
 	return []Response{
 		SortedResp{Entry: e},
 		LookupResp{Score: 0.25},
 		LookupResp{Score: 0.25, Pos: 17, HasPos: true},
-		ProbeResp{Entry: e, BestScore: Upper(math.Inf(1))},
+		ProbeResp{Entry: e, BestScore: math.Inf(1)},
 		ProbeResp{Entry: e, BestScore: 0.5, Exhausted: true},
-		ProbeResp{BestScore: Upper(math.Inf(1)), Exhausted: true, Empty: true},
-		MarkResp{Score: 0.125, BestScore: Upper(math.Inf(1))},
+		ProbeResp{BestScore: math.Inf(1), Exhausted: true, Empty: true},
+		MarkResp{Score: 0.125, BestScore: math.Inf(1)},
 		MarkResp{Score: 0.125, BestScore: 0.25, Exhausted: true},
 		TopKResp{Entries: []list.Entry{e, {Item: 1, Score: 0.5}}},
 		AboveResp{Entries: nil},
@@ -64,7 +62,7 @@ func codecResponses() []Response {
 		BatchResp{Resps: []Response{
 			SortedResp{Entry: e},
 			LookupResp{Score: 0.1, Pos: 2, HasPos: true},
-			ProbeResp{Entry: e, BestScore: Upper(math.Inf(1))},
+			ProbeResp{Entry: e, BestScore: math.Inf(1)},
 			MarkResp{Score: 0.2, BestScore: 0.3},
 			TopKResp{Entries: []list.Entry{e}},
 			AboveResp{Entries: nil},
@@ -106,91 +104,6 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(dec, resp) {
 			t.Errorf("binary round-trip changed response:\n got %#v\nwant %#v", dec, resp)
 		}
-	}
-}
-
-// TestCodecParityJSONBinary: decoding a message from one codec must
-// yield exactly what the other codec yields — the two wires are
-// different encodings of the same message, never different messages.
-func TestCodecParityJSONBinary(t *testing.T) {
-	for _, req := range codecRequests() {
-		bin, err := AppendRequestBinary(nil, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromBin, err := DecodeRequestBinary(bin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		js, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromJSON, err := decodeRequestJSON(req.Kind(), js)
-		if err != nil {
-			t.Fatalf("%#v: json decode: %v", req, err)
-		}
-		if !reflect.DeepEqual(fromBin, fromJSON) {
-			t.Errorf("codecs disagree on request:\nbinary %#v\n  json %#v", fromBin, fromJSON)
-		}
-	}
-	for _, resp := range codecResponses() {
-		kind, err := responseKind(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bin, err := AppendResponseBinary(nil, resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromBin, err := DecodeResponseBinary(bin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		js, err := json.Marshal(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromJSON, err := decodeResponseJSON(kind, js)
-		if err != nil {
-			t.Fatalf("%#v: json decode: %v", resp, err)
-		}
-		if !reflect.DeepEqual(fromBin, fromJSON) {
-			t.Errorf("codecs disagree on response:\nbinary %#v\n  json %#v", fromBin, fromJSON)
-		}
-	}
-}
-
-// TestBatchJSONRoundTrip: the kind-tagged JSON envelope must round-trip
-// batches too — it is the fallback wire for coalesced rounds.
-func TestBatchJSONRoundTrip(t *testing.T) {
-	req := BatchReq{Reqs: []Request{SortedReq{Pos: 2}, LookupReq{Item: 3, WantPos: true}, ProbeReq{}}}
-	js, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back BatchReq
-	if err := json.Unmarshal(js, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, req) {
-		t.Errorf("JSON batch request round-trip: got %#v, want %#v", back, req)
-	}
-	resp := BatchResp{Resps: []Response{
-		SortedResp{Entry: list.Entry{Item: 1, Score: 0.5}},
-		LookupResp{Score: 0.25, Pos: 9, HasPos: true},
-		ProbeResp{Entry: list.Entry{Item: 2, Score: 0.4}, BestScore: Upper(math.Inf(1))},
-	}}
-	js, err = json.Marshal(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var backR BatchResp
-	if err := json.Unmarshal(js, &backR); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(backR, resp) {
-		t.Errorf("JSON batch response round-trip: got %#v, want %#v", backR, resp)
 	}
 }
 
@@ -254,42 +167,6 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 	huge := []byte{8, 4, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := DecodeRequestBinary(huge); err == nil {
 		t.Error("bogus batch count accepted")
-	}
-}
-
-// TestBinarySmallerThanJSON pins the codec's reason to exist at the
-// message level: representative hot-path messages must be at least 40%
-// smaller in binary than in JSON. (The per-query version over whole
-// protocol traces lives in the root package's codec benchmark.)
-func TestBinarySmallerThanJSON(t *testing.T) {
-	entries := make([]list.Entry, 20)
-	for i := range entries {
-		entries[i] = list.Entry{Item: list.ItemID(i * 31), Score: 1 / float64(i+2)}
-	}
-	msgs := []Response{
-		SortedResp{Entry: entries[0]},
-		LookupResp{Score: 0.123456789, Pos: 4321, HasPos: true},
-		ProbeResp{Entry: entries[1], BestScore: 0.987654321},
-		MarkResp{Score: 0.5, BestScore: 0.25},
-		TopKResp{Entries: entries},
-		AboveResp{Entries: entries},
-		FetchResp{Scores: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}},
-	}
-	var jsonBytes, binBytes int
-	for _, m := range msgs {
-		js, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bin, err := AppendResponseBinary(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jsonBytes += len(js)
-		binBytes += len(bin)
-	}
-	if float64(binBytes) > 0.6*float64(jsonBytes) {
-		t.Errorf("binary codec %d bytes vs JSON %d: less than 40%% smaller", binBytes, jsonBytes)
 	}
 }
 

@@ -38,43 +38,36 @@ import (
 //	                     replicable state (seen-position ranges + scan
 //	                     depth) for mirror promotion
 //	POST /rpc/{kind}?sid=...  one exchange; body and response are the
-//	                     message structs of this package, encoded by the
-//	                     negotiated wire codec (kind "batch" carries a
-//	                     coalesced round for this owner)
+//	                     message structs of this package in the binary
+//	                     wire codec (kind "batch" carries a coalesced
+//	                     round for this owner)
 //	GET  /stats?sid=...  control-plane: the session's OwnerStats;
 //	                     without sid, the owner's list metadata
-//	                     (the dial handshake, which also advertises the
-//	                     wire codecs the owner speaks and the owner's
-//	                     replica identity)
+//	                     (the dial handshake, which also reports the
+//	                     owner's replica identity)
 //	POST /filter/set     live control-plane: install one standing
 //	                     query's notification filter {query, slack,
 //	                     watch} (see Owner.SetFilter)
 //	POST /filter/clear   live control-plane: remove a filter {query}
-//	POST /reset          deprecated no-op, kept for pre-session clients
 //	GET  /healthz        liveness — also what the client's background
 //	                     health prober polls in replicated topologies
 //
-// The /rpc data plane speaks two codecs, negotiated via Content-Type:
-// the length-prefixed little-endian binary codec (codec.go) is the
-// default whenever every owner advertises it in the dial handshake, and
-// JSON remains the fallback for old owners and the debugging surface
-// (HTTPClient.SetWireFormat). The server answers in the codec the
-// request arrived in, so one owner serves binary and JSON clients at
-// once; error payloads are always JSON. encoding/json renders float64s
-// in their shortest round-tripping form and the binary codec ships raw
-// IEEE-754 bits, so scores survive either wire bit-identically and the
-// parity suite can hold HTTP to the same answers and accounting as the
-// in-process backends. Non-finite list scores are not supported on the
-// JSON codec (JSON has no infinities); the +Inf best-position
-// piggyback, which is protocol vocabulary rather than list data, is
-// handled there by Upper — the binary codec carries it natively.
+// The /rpc data plane speaks one codec, the length-prefixed
+// little-endian binary frames of codec.go under ContentTypeBinary; a
+// request in any other Content-Type is refused with 415. The binary
+// codec ships raw IEEE-754 bits, so scores — the +Inf best-position
+// piggyback included — survive the wire bit-identically and the parity
+// suite can hold HTTP to the same answers and accounting as the
+// in-process backend. The control plane (/session/*, /stats, /filter/*)
+// and every error payload speak JSON.
 //
 // The client side dials a Topology rather than a flat URL list: every
 // list may be served by several replica owner processes (topology.go).
 // Stateless exchanges are routed per-call by the configured
 // RoutingPolicy and fail over between replicas mid-query; sessionful
-// exchanges pin each session to one replica per list and surface
-// OwnerFailedError when it dies.
+// exchanges pin each session to one replica per list, mirror its state
+// to a sibling, and hand the session off to that sibling when the pin
+// dies — OwnerFailedError surfaces only when no synced sibling is left.
 
 // Server is one list owner behind HTTP. Wrap Handler in an http.Server
 // (or httptest.Server); cmd/topk-owner is the standalone binary.
@@ -97,7 +90,6 @@ func NewServer(db *list.Database, index int) (*Server, error) {
 	s.mux.HandleFunc("/session/state", s.handleState)
 	s.mux.HandleFunc("/filter/set", s.handleFilterSet)
 	s.mux.HandleFunc("/filter/clear", s.handleFilterClear)
-	s.mux.HandleFunc("/reset", s.handleReset)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	// The process-wide metrics registry: Prometheus text exposition by
@@ -150,7 +142,7 @@ type httpError struct {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", ContentTypeJSON)
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v) // status line already out
 }
@@ -367,21 +359,6 @@ func (s *Server) handleFilterClear(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReset is the pre-session control plane: it used to wipe the
-// owner's single global query session. Owner state is keyed by session
-// ID now, so there is nothing to reset. The endpoint stays as an
-// acknowledged no-op so old control planes don't hard-fail on 404 —
-// their data-plane calls still get a clear "missing sid" 400 telling
-// them to upgrade; it never touches live sessions.
-func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(r.Body, 4096))
-	writeJSON(w, http.StatusOK, map[string]string{"status": "deprecated no-op; sessions are keyed by sid"})
-}
-
 // maxRPCBody bounds a data-plane request body. Generous: the largest
 // legitimate request is a TPUT phase-3 fetch of every item.
 const maxRPCBody = 16 << 20
@@ -420,6 +397,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		return
+	}
+	if ct := r.Header.Get("Content-Type"); ct != ContentTypeBinary {
+		writeError(w, http.StatusUnsupportedMediaType, "transport: /rpc bodies must be %s, got %q", ContentTypeBinary, ct)
 		return
 	}
 	sid := r.URL.Query().Get("sid")
@@ -463,19 +444,9 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "transport: request body exceeds %d bytes", maxRPCBody)
 		return
 	}
-	// The request's Content-Type selects the codec; the response mirrors
-	// it, so binary and JSON clients share one owner. Errors are always
-	// JSON — they are control-plane, and the client's error path predates
-	// the binary codec.
-	binaryWire := r.Header.Get("Content-Type") == ContentTypeBinary
-	var req Request
-	if binaryWire {
-		req, err = DecodeRequestBinary(body)
-		if err == nil && req.Kind() != kind {
-			err = fmt.Errorf("transport: frame kind %q does not match path kind %q", req.Kind(), kind)
-		}
-	} else {
-		req, err = decodeRequestJSON(kind, body)
+	req, err := DecodeRequestBinary(body)
+	if err == nil && req.Kind() != kind {
+		err = fmt.Errorf("transport: frame kind %q does not match path kind %q", req.Kind(), kind)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -487,7 +458,7 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	// handler exactly as before.
 	served := false
 	defer func() {
-		mOwnerWireBytes.add(binaryWire, int64(len(body)), cw.n)
+		mOwnerWireBytes.add(int64(len(body)), cw.n)
 		if !served {
 			if c := mOwnerExchangeErrs[kind]; c != nil {
 				c.Inc()
@@ -508,63 +479,15 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	}
 	out := getBuf()
 	defer putBuf(out)
-	var enc []byte
-	ct := ContentTypeJSON
-	if binaryWire {
-		enc, err = AppendResponseBinary(*out, resp)
-		ct = ContentTypeBinary
-	} else {
-		enc, err = json.Marshal(resp)
-	}
+	enc, err := AppendResponseBinary(*out, resp)
 	*out = enc
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "transport: encode response: %v", err)
 		return
 	}
 	served = true
-	writeFrame(w, ct, enc)
+	writeFrame(w, ContentTypeBinary, enc)
 }
-
-// decodeRequestJSON unmarshals the JSON body of a /rpc/{kind} call.
-// Batches are handled here (one nesting level); the shared per-kind
-// table rejects nested ones.
-func decodeRequestJSON(kind Kind, body []byte) (Request, error) {
-	if kind == KindBatch {
-		var req BatchReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("transport: bad request body: %w", err)
-		}
-		return req, nil
-	}
-	return UnmarshalRequestJSON(kind, body)
-}
-
-// decodeResponseJSON unmarshals the JSON response of a /rpc/{kind} call.
-func decodeResponseJSON(kind Kind, body []byte) (Response, error) {
-	if kind == KindBatch {
-		var resp BatchResp
-		if err := json.Unmarshal(body, &resp); err != nil {
-			return nil, fmt.Errorf("transport: bad message body: %w", err)
-		}
-		return resp, nil
-	}
-	return UnmarshalResponseJSON(kind, body)
-}
-
-// WireFormat selects the /rpc data-plane codec of an HTTPClient.
-type WireFormat uint8
-
-const (
-	// WireAuto uses the binary codec when every owner advertised it in
-	// the dial handshake, JSON otherwise. The default.
-	WireAuto WireFormat = iota
-	// WireJSON forces the JSON codec — the debugging surface, and the
-	// escape hatch for owners that mis-advertise.
-	WireJSON
-	// WireBinary forces the binary codec even against owners that did
-	// not advertise it (their requests will fail with 400s).
-	WireBinary
-)
 
 // DialConfig is the declarative shape of a cluster connection: the
 // replica topology, the routing policy, the health-check cadence and the
@@ -608,15 +531,6 @@ type DialConfig struct {
 	// BreakerCooldown is the first open interval. 0 means
 	// DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// Wire selects the data-plane codec. Default WireAuto.
-	Wire WireFormat
-	// DisableHandoff turns off session-state mirroring: sessionful
-	// exchanges stop piggybacking their state delta to a sibling replica,
-	// and a pinned replica's death surfaces OwnerFailedError immediately
-	// instead of re-pinning the session to the synced mirror. The
-	// pre-handoff behaviour, kept for callers that prefer whole-query
-	// restarts (or measure the mirroring overhead).
-	DisableHandoff bool
 	// Logger receives the client's structured recovery narration:
 	// replica health transitions, session handoffs, mirror promotions.
 	// nil discards it.
@@ -643,7 +557,6 @@ type HTTPClient struct {
 	reqTimeout time.Duration
 	retries    int
 	replicated bool
-	noHandoff  bool
 
 	// bk paces retries (full-jitter exponential backoff); healthEvery
 	// is the prober's base cadence, doubled per consecutive probe
@@ -653,13 +566,6 @@ type HTTPClient struct {
 
 	// rr holds the per-list round-robin cursors of RouteRoundRobin.
 	rr []atomic.Uint32
-
-	// wire holds the WireFormat (atomically, so SetWireFormat cannot
-	// race live sessions); binNegotiated records whether every reachable
-	// replica advertised the binary codec at dial time (consulted under
-	// WireAuto).
-	wire          atomic.Uint32
-	binNegotiated bool
 
 	// The background health prober's lifecycle; nil when disabled.
 	probeCancel context.CancelFunc
@@ -710,10 +616,7 @@ func DialOwners(urls []string, hc *http.Client) (*HTTPClient, error) {
 
 // Dial connects to the owner processes of cfg.Topology and validates the
 // cluster: every replica of list i must report list index i, the shared
-// list length, and a database of exactly len(Topology) lists. The
-// handshake also negotiates the wire codec: when every reachable replica
-// advertises the binary codec, the data plane uses it (see
-// SetWireFormat).
+// list length, and a database of exactly len(Topology) lists.
 //
 // Replicas that cannot be reached at dial time are tolerated — marked
 // unhealthy, to be revived by the background health prober — as long as
@@ -743,7 +646,6 @@ func Dial(ctx context.Context, cfg DialConfig) (*HTTPClient, error) {
 		reqTimeout: cfg.RequestTimeout,
 		retries:    cfg.Retries,
 		replicated: topo.Replicated(),
-		noHandoff:  cfg.DisableHandoff,
 		rr:         make([]atomic.Uint32, len(topo)),
 		log:        logger,
 	}
@@ -757,7 +659,6 @@ func Dial(ctx context.Context, cfg DialConfig) (*HTTPClient, error) {
 		t.retries = 0
 	}
 	t.bk = defaultBackoff(cfg.BackoffBase, cfg.BackoffCap)
-	t.wire.Store(uint32(cfg.Wire))
 	threshold := cfg.BreakerThreshold
 	if threshold == 0 {
 		threshold = DefaultBreakerThreshold
@@ -788,23 +689,10 @@ func Dial(ctx context.Context, cfg DialConfig) (*HTTPClient, error) {
 	return t, nil
 }
 
-// advertisesBinary reports whether a handshake advertises the binary
-// wire codec.
-func advertisesBinary(st OwnerStats) bool {
-	for _, c := range st.Codecs {
-		if c == CodecBinary {
-			return true
-		}
-	}
-	return false
-}
-
 // checkShape validates one replica's handshake against the dialed
 // topology: it must serve the expected list of a database with the
-// cluster's width and shared list length. requireBinary additionally
-// demands the binary-codec advertisement — set when a late-validated
-// replica joins a cluster whose data plane already speaks binary.
-func (t *HTTPClient) checkShape(r *replica, st OwnerStats, requireBinary bool) error {
+// cluster's width and shared list length.
+func (t *HTTPClient) checkShape(r *replica, st OwnerStats) error {
 	if st.Index != r.list {
 		return fmt.Errorf("transport: owner %d replica %d (%s) serves list %d; order the topology by list index",
 			r.list, r.index, r.url, st.Index)
@@ -816,10 +704,6 @@ func (t *HTTPClient) checkShape(r *replica, st OwnerStats, requireBinary bool) e
 	if st.N != t.n {
 		return fmt.Errorf("transport: owner %d replica %d (%s) has %d items, expected %d",
 			r.list, r.index, r.url, st.N, t.n)
-	}
-	if requireBinary && !advertisesBinary(st) {
-		return fmt.Errorf("transport: owner %d replica %d (%s) does not advertise the cluster's binary wire codec",
-			r.list, r.index, r.url)
 	}
 	return nil
 }
@@ -865,7 +749,6 @@ func (t *HTTPClient) handshake(ctx context.Context) error {
 			break
 		}
 	}
-	allBinary := true
 	for li, reps := range t.lists {
 		reachable := 0
 		var firstErr error
@@ -877,10 +760,9 @@ func (t *HTTPClient) handshake(ctx context.Context) error {
 				}
 				continue
 			}
-			if err := t.checkShape(r, v.st, false); err != nil {
+			if err := t.checkShape(r, v.st); err != nil {
 				return err
 			}
-			allBinary = allBinary && advertisesBinary(v.st)
 			r.validated.Store(true)
 			t.noteHealth(r, true)
 			r.observe(v.dur)
@@ -890,27 +772,7 @@ func (t *HTTPClient) handshake(ctx context.Context) error {
 			return fmt.Errorf("transport: owner %d: no reachable replica: %w", li, firstErr)
 		}
 	}
-	t.binNegotiated = allBinary
 	return nil
-}
-
-// SetWireFormat overrides the dial-time codec negotiation (default
-// WireAuto: binary when every owner advertises it). Safe to call
-// concurrently with live sessions — the store is atomic — but exchanges
-// already in flight finish on the codec they started with, so switch
-// before opening sessions for deterministic wiring.
-func (t *HTTPClient) SetWireFormat(f WireFormat) { t.wire.Store(uint32(f)) }
-
-// binaryWire reports whether /rpc exchanges travel in the binary codec.
-func (t *HTTPClient) binaryWire() bool {
-	switch WireFormat(t.wire.Load()) {
-	case WireJSON:
-		return false
-	case WireBinary:
-		return true
-	default:
-		return t.binNegotiated
-	}
 }
 
 // SetRequestTimeout changes the per-attempt bound on every subsequent
@@ -1164,9 +1026,8 @@ type sessionListState struct {
 	// non-nil mirror's state equals the pin's state as of the last
 	// successful sessionful exchange (chosen while both were fresh, then
 	// synced after every exchange), so promoting it never replays a
-	// cursor advance. nil when the list has no sibling, handoff is
-	// disabled, or the last sync failed and no replacement could be
-	// promoted.
+	// cursor advance. nil when the list has no sibling, or the last sync
+	// failed and no replacement could be promoted.
 	mirror *replica
 	// failed[ri] records replicas that failed an exchange (or a mirror
 	// sync) of this session — the session's recovery bookkeeping.
@@ -1312,38 +1173,21 @@ func (t *HTTPClient) Open(ctx context.Context, tracker bestpos.Kind) (Session, e
 const liveSID = "live"
 
 // updateReplica sends one update batch to one replica over the data
-// plane — negotiated codec, frame CRC, shed backpressure and transient
+// plane — binary codec, frame CRC, shed backpressure and transient
 // retries; updates are replayable by their per-feed sequence number, so
 // re-sending is always safe.
 func (t *HTTPClient) updateReplica(ctx context.Context, r *replica, req UpdateReq) (UpdateResp, error) {
-	binary := t.binaryWire()
-	var (
-		body []byte
-		err  error
-		ct   = ContentTypeJSON
-	)
-	if binary {
-		body, err = AppendRequestBinary(nil, req)
-		ct = ContentTypeBinary
-	} else {
-		body, err = json.Marshal(req)
-	}
+	body, err := AppendRequestBinary(nil, req)
 	if err != nil {
 		return UpdateResp{}, fmt.Errorf("transport: owner %d: encode update: %w", r.list, err)
 	}
 	var out UpdateResp
-	derr := t.doReplica(ctx, r, http.MethodPost, "/rpc/"+string(KindUpdate)+"?sid="+liveSID, body, ct, func(rd io.Reader) error {
+	derr := t.doReplica(ctx, r, http.MethodPost, "/rpc/"+string(KindUpdate)+"?sid="+liveSID, body, ContentTypeBinary, func(rd io.Reader) error {
 		data, rerr := io.ReadAll(rd)
 		if rerr != nil {
 			return fmt.Errorf("%w: read body: %v", errCorruptFrame, rerr)
 		}
-		var resp Response
-		var derr error
-		if binary {
-			resp, derr = DecodeResponseBinary(data)
-		} else {
-			resp, derr = UnmarshalResponseJSON(KindUpdate, data)
-		}
+		resp, derr := DecodeResponseBinary(data)
 		if derr != nil {
 			return fmt.Errorf("%w: decode: %v", errCorruptFrame, derr)
 		}
@@ -1457,8 +1301,8 @@ func (t *HTTPClient) Close() error {
 }
 
 // httpSession is one query over the shared HTTP client. Elapsed
-// accumulates real time the way the Concurrent backend accumulates
-// virtual time: a batch costs its slowest owner, not the sum.
+// accumulates real time the way a latency Loopback accumulates virtual
+// time: a batch costs its slowest owner, not the sum.
 type httpSession struct {
 	t   *HTTPClient
 	sid string
@@ -1520,8 +1364,8 @@ func (s *httpSession) dropOpen(li, ri int) {
 }
 
 // pinned returns the replica this session's sessionful traffic for list
-// li sticks to, choosing it by policy on first use — and, unless
-// handoff is disabled, a mirror sibling alongside it. Both start from
+// li sticks to, choosing it by policy on first use — and a mirror
+// sibling alongside it, when the list has one. Both start from
 // identical fresh session state, so the mirror is synced by
 // construction until the first sessionful exchange lands a delta.
 func (s *httpSession) pinned(li int) *replica {
@@ -1530,7 +1374,7 @@ func (s *httpSession) pinned(li int) *replica {
 	defer ls.mu.Unlock()
 	if ls.pin == nil {
 		ls.pin = s.t.route(li, ls.open, nil)
-		if ls.pin != nil && !s.t.noHandoff {
+		if ls.pin != nil {
 			tried := make([]bool, len(s.t.lists[li]))
 			tried[ls.pin.index] = true
 			ls.mirror = s.t.route(li, ls.open, tried)
@@ -1619,7 +1463,7 @@ func appendSyncPositions(dst []int, resp Response) []int {
 // mirror that fails the sync is dropped (it may be stale now) and a
 // replacement is promoted from the pin's full state, best-effort.
 func (s *httpSession) syncMirror(ctx context.Context, li int, resp Response) {
-	if !s.t.replicated || s.t.noHandoff {
+	if !s.t.replicated {
 		return
 	}
 	ls := &s.state[li]
@@ -1667,9 +1511,6 @@ func (s *httpSession) syncMirror(ctx context.Context, li int, resp Response) {
 // session continues unmirrored and the pin's death surfaces the typed
 // owner failure.
 func (s *httpSession) promoteMirror(ctx context.Context, li int) {
-	if s.t.noHandoff {
-		return
-	}
 	ls := &s.state[li]
 	ls.mu.Lock()
 	pin := ls.pin
@@ -1725,9 +1566,6 @@ func (s *httpSession) promoteMirror(ctx context.Context, li int) {
 // the replica set. A fresh mirror is then promoted from the new pin's
 // state, best-effort, so the session survives further deaths.
 func (s *httpSession) handoff(ctx context.Context, li int, failed *replica) *replica {
-	if s.t.noHandoff {
-		return nil
-	}
 	ls := &s.state[li]
 	ls.mu.Lock()
 	ls.open[failed.index] = false
@@ -1764,20 +1602,16 @@ func (s *httpSession) recordAccess(li int, req Request, resp Response) {
 	ls.mu.Unlock()
 }
 
-// attemptRPC performs one data-plane round-trip with one replica in the
-// session's wire codec, reporting the encoded response size alongside
+// attemptRPC performs one data-plane round-trip with one replica,
+// reporting the encoded response size alongside
 // the decoded message (tracing and the wire-bytes metrics want the
 // on-the-wire count, which only this frame sees). Both bodies pass
 // through pooled buffers; decoded messages own their memory, so nothing
 // aliases a pooled slice after return.
-func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, body []byte, binary bool) (Response, int, int, error) {
-	ct := ContentTypeJSON
-	if binary {
-		ct = ContentTypeBinary
-	}
+func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, body []byte) (Response, int, int, error) {
 	var out Response
 	respBytes := 0
-	status, err := s.t.attempt(ctx, http.MethodPost, r.url+s.rpcPath(kind), body, ct, func(rd io.Reader) error {
+	status, err := s.t.attempt(ctx, http.MethodPost, r.url+s.rpcPath(kind), body, ContentTypeBinary, func(rd io.Reader) error {
 		dec := getBuf()
 		defer putBuf(dec)
 		data, rerr := appendAll(*dec, rd)
@@ -1787,12 +1621,7 @@ func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, bod
 		}
 		respBytes = len(data)
 		var derr error
-		if binary {
-			out, derr = DecodeResponseBinary(data)
-		} else {
-			out, derr = decodeResponseJSON(kind, data)
-		}
-		if derr != nil {
+		if out, derr = DecodeResponseBinary(data); derr != nil {
 			// The owner answered 200, so a frame that fails to decode
 			// was damaged in transit: classify as corrupt, not permanent.
 			return fmt.Errorf("%w: decode: %v", errCorruptFrame, derr)
@@ -1817,19 +1646,13 @@ func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, bod
 //     the mirror's state excludes the failed exchange either way (the
 //     pin never applied it, or applied it but is dropped for good so
 //     its advanced cursor is never observed again). Only when no synced
-//     mirror exists (flat list, handoff disabled, or every sibling
-//     gone) does the failure surface as OwnerFailedError.
+//     mirror exists (flat list, or every sibling gone) does the failure
+//     surface as OwnerFailedError.
 func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Response, err error) {
 	kind := req.Kind()
-	binary := s.t.binaryWire()
 	enc := getBuf()
 	defer putBuf(enc)
-	if binary {
-		*enc, err = AppendRequestBinary(*enc, req)
-	} else {
-		*enc, err = json.Marshal(req)
-	}
-	if err != nil {
+	if *enc, err = AppendRequestBinary(*enc, req); err != nil {
 		return nil, fmt.Errorf("transport: owner %d: encode request: %w", li, err)
 	}
 
@@ -1857,7 +1680,7 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 	failedOver := false
 	exStart := time.Now()
 	defer func() {
-		observeExchangeMetrics(kind, binary, time.Since(exStart), reqLen, respBytes, attempted, failedOver, err)
+		observeExchangeMetrics(kind, time.Since(exStart), reqLen, respBytes, attempted, failedOver, err)
 		if s.rec == nil {
 			return
 		}
@@ -1918,7 +1741,7 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 		}
 		attempted++
 		start := time.Now()
-		resp, rb, status, err := s.attemptRPC(ctx, target, kind, *enc, binary)
+		resp, rb, status, err := s.attemptRPC(ctx, target, kind, *enc)
 		if err == nil {
 			respBytes = rb
 			target.observe(time.Since(start))

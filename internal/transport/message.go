@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 
 	"topk/internal/list"
 )
@@ -63,38 +61,9 @@ type Response interface {
 	ResponseScalars() int
 }
 
-// Upper is a float64 that survives JSON round-trips even at +Inf, which
-// encoding/json rejects. BPA2's best-position piggyback is +Inf while an
-// owner has not yet seen position 1 of its list ("no information" — the
-// neutral upper bound under any monotone scoring function), so it is
-// encoded as the JSON string "inf".
-type Upper float64
-
-// MarshalJSON encodes +Inf as "inf" and finite values as plain numbers.
-func (u Upper) MarshalJSON() ([]byte, error) {
-	if math.IsInf(float64(u), 1) {
-		return []byte(`"inf"`), nil
-	}
-	return json.Marshal(float64(u))
-}
-
-// UnmarshalJSON accepts the "inf" string or a plain number.
-func (u *Upper) UnmarshalJSON(b []byte) error {
-	if string(b) == `"inf"` {
-		*u = Upper(math.Inf(1))
-		return nil
-	}
-	var f float64
-	if err := json.Unmarshal(b, &f); err != nil {
-		return fmt.Errorf("transport: bad upper bound %s: %w", b, err)
-	}
-	*u = Upper(f)
-	return nil
-}
-
 // SortedReq asks an owner for the entry at sorted position Pos (TA, BPA).
 type SortedReq struct {
-	Pos int `json:"pos"`
+	Pos int
 }
 
 func (SortedReq) Kind() Kind          { return KindSorted }
@@ -108,7 +77,7 @@ func (SortedReq) Sessionful() bool { return false }
 
 // SortedResp returns the entry; the position is implied by the request.
 type SortedResp struct {
-	Entry list.Entry `json:"entry"`
+	Entry list.Entry
 }
 
 // ResponseScalars: item and score.
@@ -117,8 +86,8 @@ func (SortedResp) ResponseScalars() int { return 2 }
 // LookupReq asks an owner for a random-access lookup of Item. WantPos
 // requests the item's position too (BPA ships positions, TA does not).
 type LookupReq struct {
-	Item    list.ItemID `json:"item"`
-	WantPos bool        `json:"wantPos,omitempty"`
+	Item    list.ItemID
+	WantPos bool
 }
 
 func (LookupReq) Kind() Kind          { return KindLookup }
@@ -134,9 +103,9 @@ func (LookupReq) Sessionful() bool { return false }
 // (HasPos mirrors the request's WantPos, so the charged payload is a
 // function of the response alone).
 type LookupResp struct {
-	Score  float64 `json:"score"`
-	Pos    int     `json:"pos,omitempty"`
-	HasPos bool    `json:"hasPos,omitempty"`
+	Score  float64
+	Pos    int
+	HasPos bool
 }
 
 // ResponseScalars: the score, plus the position when shipped.
@@ -163,23 +132,23 @@ func (ProbeReq) Sessionful() bool { return true }
 // ProbeResp returns the probed entry plus the owner's piggybacked
 // best-position state.
 type ProbeResp struct {
-	Entry list.Entry `json:"entry"`
+	Entry list.Entry
 	// BestScore is the score at the owner's current best position
 	// (+Inf before the owner has seen position 1).
-	BestScore Upper `json:"bestScore"`
+	BestScore float64
 	// Exhausted reports that every position of the list has been seen;
 	// the originator stops probing this owner.
-	Exhausted bool `json:"exhausted,omitempty"`
+	Exhausted bool
 	// Empty reports that the owner had nothing left to probe and the
 	// response carries the piggyback only (defensive: the originator
 	// tracks exhaustion and normally never probes an exhausted owner).
-	Empty bool `json:"empty,omitempty"`
+	Empty bool
 	// Pos is the position this probe marked seen (0 when Empty) — the
 	// session-state delta the replicated client mirrors to a sibling
 	// replica so the session survives the pinned replica's death.
 	// Recovery vocabulary, not protocol payload: it is excluded from
 	// ResponseScalars, so accounting stays identical across backends.
-	Pos int `json:"pos,omitempty"`
+	Pos int
 }
 
 // ResponseScalars: item, score and best-position score — or only the
@@ -194,7 +163,7 @@ func (r ProbeResp) ResponseScalars() int {
 // MarkReq asks a BPA2 owner to resolve Item and record its position in
 // the owner-side tracker.
 type MarkReq struct {
-	Item list.ItemID `json:"item"`
+	Item list.ItemID
 }
 
 func (MarkReq) Kind() Kind          { return KindMark }
@@ -211,15 +180,15 @@ func (MarkReq) Sessionful() bool { return true }
 // MarkResp returns the local score plus the piggybacked best-position
 // state. The item's position stays at the owner.
 type MarkResp struct {
-	Score     float64 `json:"score"`
-	BestScore Upper   `json:"bestScore"`
-	Exhausted bool    `json:"exhausted,omitempty"`
+	Score     float64
+	BestScore float64
+	Exhausted bool
 	// Pos is the position this mark recorded — the session-state delta
 	// the replicated client mirrors to a sibling replica (see
 	// ProbeResp.Pos). Excluded from ResponseScalars: the position itself
 	// stays at the owner in the paper's protocol, and the mirror delta
 	// must not perturb the payload accounting.
-	Pos int `json:"pos,omitempty"`
+	Pos int
 }
 
 // ResponseScalars: score and best-position score.
@@ -227,7 +196,7 @@ func (MarkResp) ResponseScalars() int { return 2 }
 
 // TopKReq asks an owner for its K highest entries (TPUT phase 1).
 type TopKReq struct {
-	K int `json:"k"`
+	K int
 }
 
 func (TopKReq) Kind() Kind          { return KindTopK }
@@ -243,7 +212,7 @@ func (TopKReq) Sessionful() bool { return true }
 
 // TopKResp returns the owner's top-K entries in list order.
 type TopKResp struct {
-	Entries []list.Entry `json:"entries"`
+	Entries []list.Entry
 }
 
 // ResponseScalars: item and score per entry.
@@ -252,7 +221,7 @@ func (r TopKResp) ResponseScalars() int { return 2 * len(r.Entries) }
 // AboveReq asks an owner for every entry below its already-sent prefix
 // with score at least T (TPUT phase 2).
 type AboveReq struct {
-	T float64 `json:"t"`
+	T float64
 }
 
 func (AboveReq) Kind() Kind          { return KindAbove }
@@ -267,7 +236,7 @@ func (AboveReq) Sessionful() bool { return true }
 
 // AboveResp returns the matching entries in list order.
 type AboveResp struct {
-	Entries []list.Entry `json:"entries"`
+	Entries []list.Entry
 }
 
 // ResponseScalars: item and score per entry.
@@ -277,7 +246,7 @@ func (r AboveResp) ResponseScalars() int { return 2 * len(r.Entries) }
 // phase 3). The item batch is variable-length, so it is charged as
 // request payload.
 type FetchReq struct {
-	Items []list.ItemID `json:"items"`
+	Items []list.ItemID
 }
 
 func (FetchReq) Kind() Kind            { return KindFetch }
@@ -291,7 +260,7 @@ func (FetchReq) Sessionful() bool { return false }
 
 // FetchResp returns the scores in request order.
 type FetchResp struct {
-	Scores []float64 `json:"scores"`
+	Scores []float64
 }
 
 // ResponseScalars: one score per requested item.
@@ -300,8 +269,8 @@ func (r FetchResp) ResponseScalars() int { return len(r.Scores) }
 // ScoreUpdate is one (item, delta) local-score change carried by an
 // update message.
 type ScoreUpdate struct {
-	Item  list.ItemID `json:"item"`
-	Delta float64     `json:"delta"`
+	Item  list.ItemID
+	Delta float64
 }
 
 // UpdateReq applies a batch of score updates to the owner's list — the
@@ -312,9 +281,9 @@ type ScoreUpdate struct {
 // idempotent by construction. The update batch is variable-length and is
 // charged as request payload.
 type UpdateReq struct {
-	Feed    string        `json:"feed"`
-	Seq     uint64        `json:"seq"`
-	Updates []ScoreUpdate `json:"updates"`
+	Feed    string
+	Seq     uint64
+	Updates []ScoreUpdate
 }
 
 func (UpdateReq) Kind() Kind { return KindUpdate }
@@ -340,9 +309,9 @@ func (UpdateReq) Sessionful() bool { return false }
 // means the owner certifies the batch cannot have changed those queries'
 // global top-k.
 type UpdateResp struct {
-	Applied   bool     `json:"applied,omitempty"`
-	Version   uint64   `json:"version"`
-	Crossings []string `json:"crossings,omitempty"`
+	Applied   bool
+	Version   uint64
+	Crossings []string
 }
 
 // ResponseScalars: the version scalar plus one crossing flag per
@@ -353,7 +322,7 @@ func (r UpdateResp) ResponseScalars() int { return 1 + len(r.Crossings) }
 // into a single wire exchange — the round-coalescing that collapses a
 // protocol round's per-owner fan-out (TA/BPA's m-1 lookups per owner)
 // into one POST per owner on the HTTP backend, and into one priced
-// exchange under the Concurrent backend's latency model. The owner
+// exchange under a latency Loopback's virtual clock. The owner
 // executes the inner requests in order, atomically against one session
 // (the session mutex is held across the whole batch), and answers with a
 // BatchResp whose responses are in request order.
@@ -415,91 +384,8 @@ func (b BatchResp) ResponseScalars() int {
 	return n
 }
 
-// wireEnvelope is the kind-tagged JSON frame of one batched inner
-// message; the binary codec carries the same tag as its frame byte.
-type wireEnvelope struct {
-	Kind Kind            `json:"kind"`
-	Body json.RawMessage `json:"body"`
-}
-
-// batchWire is the JSON form of BatchReq and BatchResp.
-type batchWire struct {
-	Msgs []wireEnvelope `json:"msgs"`
-}
-
-// MarshalJSON encodes the inner requests as kind-tagged envelopes.
-func (b BatchReq) MarshalJSON() ([]byte, error) {
-	w := batchWire{Msgs: make([]wireEnvelope, len(b.Reqs))}
-	for i, r := range b.Reqs {
-		if r.Kind() == KindBatch {
-			return nil, fmt.Errorf("transport: batches must not nest")
-		}
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return nil, err
-		}
-		w.Msgs[i] = wireEnvelope{Kind: r.Kind(), Body: raw}
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON decodes kind-tagged envelopes back into typed requests.
-func (b *BatchReq) UnmarshalJSON(data []byte) error {
-	var w batchWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	// An empty batch decodes to nil, like the binary codec, so the two
-	// wires round-trip to DeepEqual-identical messages.
-	b.Reqs = nil
-	for i, env := range w.Msgs {
-		req, err := UnmarshalRequestJSON(env.Kind, env.Body)
-		if err != nil {
-			return fmt.Errorf("transport: batch[%d]: %w", i, err)
-		}
-		b.Reqs = append(b.Reqs, req)
-	}
-	return nil
-}
-
-// MarshalJSON encodes the inner responses as kind-tagged envelopes. The
-// response kind mirrors the request kind, so the decoder can pick the
-// concrete type.
-func (b BatchResp) MarshalJSON() ([]byte, error) {
-	w := batchWire{Msgs: make([]wireEnvelope, len(b.Resps))}
-	for i, r := range b.Resps {
-		kind, err := responseKind(r)
-		if err != nil {
-			return nil, err
-		}
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return nil, err
-		}
-		w.Msgs[i] = wireEnvelope{Kind: kind, Body: raw}
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON decodes kind-tagged envelopes back into typed responses.
-func (b *BatchResp) UnmarshalJSON(data []byte) error {
-	var w batchWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	b.Resps = nil
-	for i, env := range w.Msgs {
-		resp, err := UnmarshalResponseJSON(env.Kind, env.Body)
-		if err != nil {
-			return fmt.Errorf("transport: batch[%d]: %w", i, err)
-		}
-		b.Resps = append(b.Resps, resp)
-	}
-	return nil
-}
-
 // responseKind maps a response to the kind of the request it answers —
-// the tag batches and the binary codec frame it under.
+// the tag the binary codec frames it under.
 func responseKind(resp Response) (Kind, error) {
 	switch resp.(type) {
 	case SortedResp:
@@ -523,83 +409,4 @@ func responseKind(resp Response) (Kind, error) {
 	default:
 		return "", fmt.Errorf("transport: unknown response type %T", resp)
 	}
-}
-
-// UnmarshalRequestJSON decodes one request of the given kind from its
-// JSON body — the shared decode table of the HTTP server and the batch
-// envelope. Batches must not nest, so KindBatch is rejected here; the
-// top-level HTTP path decodes batches itself.
-func UnmarshalRequestJSON(kind Kind, data []byte) (Request, error) {
-	switch kind {
-	case KindSorted:
-		var r SortedReq
-		return r, unmarshalStrict(data, &r)
-	case KindLookup:
-		var r LookupReq
-		return r, unmarshalStrict(data, &r)
-	case KindProbe:
-		var r ProbeReq
-		return r, unmarshalStrict(data, &r)
-	case KindMark:
-		var r MarkReq
-		return r, unmarshalStrict(data, &r)
-	case KindTopK:
-		var r TopKReq
-		return r, unmarshalStrict(data, &r)
-	case KindAbove:
-		var r AboveReq
-		return r, unmarshalStrict(data, &r)
-	case KindFetch:
-		var r FetchReq
-		return r, unmarshalStrict(data, &r)
-	case KindUpdate:
-		var r UpdateReq
-		return r, unmarshalStrict(data, &r)
-	case KindBatch:
-		return nil, fmt.Errorf("transport: batches must not nest")
-	default:
-		return nil, fmt.Errorf("transport: unknown request kind %q", kind)
-	}
-}
-
-// UnmarshalResponseJSON decodes one response of the given kind from its
-// JSON body — the client-side mirror of UnmarshalRequestJSON.
-func UnmarshalResponseJSON(kind Kind, data []byte) (Response, error) {
-	switch kind {
-	case KindSorted:
-		var r SortedResp
-		return r, unmarshalStrict(data, &r)
-	case KindLookup:
-		var r LookupResp
-		return r, unmarshalStrict(data, &r)
-	case KindProbe:
-		var r ProbeResp
-		return r, unmarshalStrict(data, &r)
-	case KindMark:
-		var r MarkResp
-		return r, unmarshalStrict(data, &r)
-	case KindTopK:
-		var r TopKResp
-		return r, unmarshalStrict(data, &r)
-	case KindAbove:
-		var r AboveResp
-		return r, unmarshalStrict(data, &r)
-	case KindFetch:
-		var r FetchResp
-		return r, unmarshalStrict(data, &r)
-	case KindUpdate:
-		var r UpdateResp
-		return r, unmarshalStrict(data, &r)
-	case KindBatch:
-		return nil, fmt.Errorf("transport: batches must not nest")
-	default:
-		return nil, fmt.Errorf("transport: unknown response kind %q", kind)
-	}
-}
-
-func unmarshalStrict(data []byte, v any) error {
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("transport: bad message body: %w", err)
-	}
-	return nil
 }

@@ -19,7 +19,7 @@ import (
 //	topk_owner_exchanges_total{kind}            counter    data-plane exchanges served
 //	topk_owner_exchange_seconds{kind}           histogram  owner-side handling latency
 //	topk_owner_exchange_errors_total{kind}      counter    exchanges answered with an error
-//	topk_owner_wire_bytes_total{codec,direction} counter   /rpc body bytes (rx|tx, binary|json)
+//	topk_owner_wire_bytes_total{codec,direction} counter   /rpc body bytes (rx|tx; codec is always binary)
 //	topk_owner_sessions_open                    gauge      live sessions
 //	topk_owner_sessions_opened_total            counter
 //	topk_owner_sessions_closed_total            counter
@@ -32,7 +32,7 @@ import (
 //	topk_client_exchanges_total{kind}           counter    exchanges completed by originators
 //	topk_client_exchange_seconds{kind}          histogram  full exchange latency (incl. retries)
 //	topk_client_exchange_errors_total{kind}     counter    exchanges that failed terminally
-//	topk_client_wire_bytes_total{codec,direction} counter  encoded request (tx) / response (rx) bytes
+//	topk_client_wire_bytes_total{codec,direction} counter  encoded request (tx) / response (rx) bytes (codec=binary)
 //	topk_client_exchange_bytes                  histogram  request+response size per exchange
 //	topk_client_retries_total                   counter    extra attempts beyond the first
 //	topk_client_failovers_total                 counter    exchanges answered by a sibling replica
@@ -65,33 +65,24 @@ func histogramPerKind(name, help string) map[Kind]*obs.Histogram {
 	return out
 }
 
-// wireCounters is the {codec,direction} cross product of one byte
-// counter family.
+// wireCounters is the {codec,direction} pair of one byte counter
+// family. The codec label always reads "binary" — the only data-plane
+// codec — and stays so dashboards keyed on it keep working.
 type wireCounters struct {
-	binRx, binTx, jsonRx, jsonTx *obs.Counter
+	rx, tx *obs.Counter
 }
 
 func wireCountersOf(name, help string) wireCounters {
-	mk := func(codec, dir string) *obs.Counter {
-		return obs.GetCounter(name, help, obs.Labels{"codec": codec, "direction": dir})
+	mk := func(dir string) *obs.Counter {
+		return obs.GetCounter(name, help, obs.Labels{"codec": "binary", "direction": dir})
 	}
-	return wireCounters{
-		binRx:  mk(CodecBinary, "rx"),
-		binTx:  mk(CodecBinary, "tx"),
-		jsonRx: mk(CodecJSON, "rx"),
-		jsonTx: mk(CodecJSON, "tx"),
-	}
+	return wireCounters{rx: mk("rx"), tx: mk("tx")}
 }
 
-// add charges rx and tx bytes to the codec's counters.
-func (w wireCounters) add(binary bool, rx, tx int64) {
-	if binary {
-		w.binRx.Add(rx)
-		w.binTx.Add(tx)
-		return
-	}
-	w.jsonRx.Add(rx)
-	w.jsonTx.Add(tx)
+// add charges rx and tx bytes.
+func (w wireCounters) add(rx, tx int64) {
+	w.rx.Add(rx)
+	w.tx.Add(tx)
 }
 
 // Owner (server) side.
@@ -163,7 +154,7 @@ func itoa(n int) string {
 // exchange (success or failure) to the client-side metric families.
 // attempts is the number of wire attempts spent: every attempt sent
 // the request body, only a success received a response body.
-func observeExchangeMetrics(kind Kind, binary bool, d time.Duration, reqBytes, respBytes, attempts int, failedOver bool, err error) {
+func observeExchangeMetrics(kind Kind, d time.Duration, reqBytes, respBytes, attempts int, failedOver bool, err error) {
 	if err != nil {
 		if c := mClientExchangeErrs[kind]; c != nil {
 			c.Inc()
@@ -177,7 +168,7 @@ func observeExchangeMetrics(kind Kind, binary bool, d time.Duration, reqBytes, r
 		}
 		mClientExchBytes.Observe(float64(reqBytes + respBytes))
 	}
-	mClientWireBytes.add(binary, int64(respBytes), int64(reqBytes)*int64(attempts))
+	mClientWireBytes.add(int64(respBytes), int64(reqBytes)*int64(attempts))
 	if attempts > 1 {
 		mClientRetries.Add(int64(attempts - 1))
 	}

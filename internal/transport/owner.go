@@ -41,10 +41,6 @@ type OwnerStats struct {
 	Best int `json:"best"`
 	// Depth is the deepest sorted position the session has read.
 	Depth int `json:"depth"`
-	// Codecs lists the wire codecs the owner speaks ("binary", "json"),
-	// filled by the dial handshake so clients can negotiate the binary
-	// codec without a separate capability endpoint.
-	Codecs []string `json:"codecs,omitempty"`
 	// OpenSessions and Evictions report the owner's session hygiene: how
 	// many sessions are live, and how many idle ones the TTL sweep has
 	// reclaimed over the owner's lifetime.
@@ -120,8 +116,8 @@ type ownerSession struct {
 }
 
 // Owner is the owner-side half of every backend: the message handlers of
-// one list owner, shared verbatim by Loopback, Concurrent and the HTTP
-// server so that responses — and therefore the originator's accounting —
+// one list owner, shared verbatim by Loopback and the HTTP server so
+// that responses — and therefore the originator's accounting —
 // are identical by construction.
 //
 // An Owner accesses only its own list, through an access.Probe so the
@@ -493,26 +489,6 @@ func (o *Owner) Sessions() int {
 	return len(o.sessions)
 }
 
-// openAll opens the session at every owner, rolling back the ones
-// already opened on partial failure — the shared open path of the
-// in-process backends, so their rollback invariant cannot diverge.
-func openAll(owners []*Owner, sid string, kind bestpos.Kind) error {
-	for _, o := range owners {
-		if err := o.Open(sid, kind); err != nil {
-			closeAll(owners, sid)
-			return err
-		}
-	}
-	return nil
-}
-
-// closeAll releases the session at every owner (idempotent per owner).
-func closeAll(owners []*Owner, sid string) {
-	for _, o := range owners {
-		o.CloseSession(sid)
-	}
-}
-
 // session resolves a session ID, refreshes its idle stamp, and gives the
 // TTL sweep its chance to run.
 func (o *Owner) session(sid string) (*ownerSession, error) {
@@ -540,7 +516,6 @@ func (o *Owner) Info() OwnerStats {
 		M:            o.m,
 		MinScore:     o.db.List(0).At(o.n).Score,
 		Replica:      rep,
-		Codecs:       []string{CodecBinary, CodecJSON},
 		OpenSessions: open,
 		Evictions:    ev,
 	}
@@ -647,7 +622,7 @@ func (o *Owner) Handle(sid string, req Request) (Response, error) {
 
 // HandleContext is Handle under a caller deadline: the context carries
 // the exchange's slice of the originator's remaining query deadline
-// (on the HTTP server, parsed off the wire; in-process backends pass
+// (on the HTTP server, parsed off the wire; the in-process backend passes
 // their query context directly). Handlers whose work scales with the
 // list — above, topk, fetch, batch — poll it and abandon the exchange
 // with the context's error once the caller is dead, so an owner never
@@ -801,12 +776,12 @@ func (o *Owner) handleProbe(s *ownerSession, _ ProbeReq) (Response, error) {
 		// Defensive: the originator tracks exhaustion and stops probing;
 		// answer with the piggyback only.
 		best, _ := o.bestState(s)
-		return ProbeResp{BestScore: Upper(best), Exhausted: true, Empty: true}, nil
+		return ProbeResp{BestScore: best, Exhausted: true, Empty: true}, nil
 	}
 	e := s.pr.Direct(0, p)
 	s.tr.MarkSeen(p)
 	best, exhausted := o.bestState(s)
-	return ProbeResp{Entry: e, BestScore: Upper(best), Exhausted: exhausted, Pos: p}, nil
+	return ProbeResp{Entry: e, BestScore: best, Exhausted: exhausted, Pos: p}, nil
 }
 
 // handleMark serves BPA2's random access: the owner resolves the item,
@@ -819,7 +794,7 @@ func (o *Owner) handleMark(s *ownerSession, req MarkReq) (Response, error) {
 	sc, p := s.pr.Random(0, req.Item)
 	s.tr.MarkSeen(p)
 	best, exhausted := o.bestState(s)
-	return MarkResp{Score: sc, BestScore: Upper(best), Exhausted: exhausted, Pos: p}, nil
+	return MarkResp{Score: sc, BestScore: best, Exhausted: exhausted, Pos: p}, nil
 }
 
 // handleTopK serves TPUT phase 1: the owner reads its K best entries.

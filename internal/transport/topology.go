@@ -164,7 +164,7 @@ type replica struct {
 	url   string
 
 	// validated records that the replica passed the shape handshake
-	// (right list index, list length, cluster width, codec) — at dial
+	// (right list index, list length, cluster width) — at dial
 	// time or, for replicas that were down then, by the health prober
 	// before it first marks them healthy. route never selects an
 	// unvalidated replica: a misconfigured process that comes up late
@@ -481,9 +481,7 @@ func (t *HTTPClient) validateReplica(ctx context.Context, r *replica) {
 		t.noteHealth(r, false)
 		return
 	}
-	// A cluster whose data plane speaks binary must not admit a replica
-	// that cannot; under forced/negotiated JSON the codec is moot.
-	if err := t.checkShape(r, st, t.binaryWire()); err != nil {
+	if err := t.checkShape(r, st); err != nil {
 		r.validated.Store(false)
 		t.probeFailed(r)
 		t.noteHealth(r, false)

@@ -267,12 +267,14 @@ func TestStatelessFailover(t *testing.T) {
 	}
 }
 
-// TestSessionfulPinAndOwnerFailedError: with handoff disabled,
-// cursor-bearing traffic sticks to one replica; when that replica dies
-// the session fails fast with the typed error naming list and replica —
-// it must NOT resume on the sibling whose cursors never advanced. (With
-// handoff on — the default — the sibling mirrors the session state and
-// the death is absorbed; see TestSessionfulHandoff.)
+// TestSessionfulPinAndOwnerFailedError: cursor-bearing traffic sticks
+// to one replica; when that replica dies with no synced mirror left, the
+// session fails fast with the typed error naming list and replica — it
+// must NOT resume on the sibling whose cursors never advanced. The
+// mirror is taken out first: replica B dies after the open, so the
+// pin's sync to it and every promotion onto it fail and the session
+// runs unmirrored. (With a live mirror the pin's death is absorbed; see
+// TestSessionfulHandoff.)
 func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
 	srvA, err := NewServer(one, 0)
@@ -286,12 +288,12 @@ func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	gateA := &flakyGate{inner: srvA.Handler()}
 	tsA := httptest.NewServer(gateA)
 	defer tsA.Close()
-	tsB := httptest.NewServer(srvB.Handler())
+	gateB := &flakyGate{inner: srvB.Handler()}
+	tsB := httptest.NewServer(gateB)
 	defer tsB.Close()
 	hc, err := Dial(context.Background(), DialConfig{
 		Topology:       Topology{{tsA.URL, tsB.URL}},
 		HealthInterval: -1,
-		DisableHandoff: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +305,10 @@ func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	}
 	defer s.Close()
 	ctx := context.Background()
+
+	// B acknowledged the open, so it is the session's mirror-to-be; kill
+	// it before the first sessionful exchange syncs to it.
+	gateB.dead.Store(true)
 
 	// Two probes pin the session to replica A and advance its cursor.
 	for i := 1; i <= 2; i++ {
@@ -324,6 +330,10 @@ func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	}
 	if stB.Best != 0 || stB.Accesses.Total() != 0 {
 		t.Errorf("sessionful traffic leaked to the unpinned replica: %+v", stB)
+	}
+	recovery := func() SessionRecovery { return s.(interface{ Recovery() SessionRecovery }).Recovery() }
+	if rec := recovery(); rec.FailedReplicas != 1 {
+		t.Errorf("the dead mirror's failed syncs were not tallied: %+v", rec)
 	}
 
 	// Kill the pinned replica: the next probe is a typed failure.
@@ -352,6 +362,9 @@ func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	}
 	if stB.Best != 0 {
 		t.Errorf("failed sessionful traffic moved to the sibling: best=%d", stB.Best)
+	}
+	if rec := recovery(); rec.Handoffs != 0 {
+		t.Errorf("session handed off to an unsynced sibling: %+v", rec)
 	}
 }
 

@@ -21,10 +21,10 @@ type Span struct {
 	// Owner is the list index addressed.
 	Owner int `json:"owner"`
 	// Replica is the replica index within the list's replica set that
-	// answered; -1 for the in-process backends, which have no replicas.
+	// answered; -1 for the in-process backend, which has no replicas.
 	Replica int `json:"replica"`
-	// URL is the answering replica's base URL; "loopback" or
-	// "concurrent" for the in-process backends.
+	// URL is the answering replica's base URL; "loopback" for the
+	// in-process backend.
 	URL string `json:"url"`
 	// Kind is the wire message kind ("batch" for a coalesced round).
 	Kind Kind `json:"kind"`
@@ -33,12 +33,12 @@ type Span struct {
 	// reconciles with Net.Messages.
 	Msgs int `json:"msgs"`
 	// ReqBytes and RespBytes are the encoded wire sizes; zero on the
-	// in-process backends, which never serialize.
+	// in-process backend, which never serializes.
 	ReqBytes  int `json:"req_bytes"`
 	RespBytes int `json:"resp_bytes"`
 	// Duration is the exchange's cost: real round-trip time (including
-	// retries and failover) on HTTP and Loopback, the latency model's
-	// virtual cost on Concurrent.
+	// retries and failover) on HTTP, the latency model's virtual cost on
+	// a latency Loopback, real handler time on a plain one.
 	Duration time.Duration `json:"duration"`
 	// Attempts is the number of wire attempts spent (1 = clean).
 	Attempts int `json:"attempts"`
@@ -90,7 +90,7 @@ func (r *SpanRecorder) Spans() []Span {
 
 // SpanRecording is the optional Session capability the dist runner
 // uses to arm tracing: a session that implements it records one Span
-// per wire exchange into the given recorder (nil disarms). All three
+// per wire exchange into the given recorder (nil disarms). Both
 // backends implement it. Arm before the first exchange — the field is
 // read without synchronization on the data plane.
 type SpanRecording interface {

@@ -6,7 +6,7 @@
 //     fetch — one response type per request type) and the owner-side
 //     handlers serving it (Owner), shared by every backend;
 //   - the Transport interface, the originator's view of the network,
-//     with three interchangeable backends.
+//     with two interchangeable backends.
 //
 // # Sessions
 //
@@ -26,17 +26,16 @@
 // # Backends
 //
 //   - Loopback: deterministic in-process delivery, requests served
-//     inline in call order. The simulation backend — zero latency, zero
-//     concurrency, bit-exact reference behaviour.
-//   - Concurrent: one goroutine per owner with an injectable latency
-//     model and a per-session virtual clock. A DoAll batch reaches the
-//     owners in parallel, so a protocol round's simulated wall-clock is
-//     the max, not the sum, of its owner round-trips — the effect that
+//     inline in call order — the simulation backend and bit-exact
+//     reference behaviour. NewLatencyLoopback adds an injectable latency
+//     model and a per-session virtual clock on which a DoAll batch costs
+//     the max, not the sum, of its owners' round-trips — the effect that
 //     makes fewer-rounds designs (BPA2, TPUT) measurable.
-//   - HTTP: a real owner server (one list per process, JSON codec) and
-//     an originator client, the backing of cmd/topk-owner and
-//     topk-query's --owners cluster mode, with per-request timeouts and
-//     a single retry on transient owner failures.
+//   - HTTP: a real owner server (one list per process, binary wire
+//     codec) and an originator client, the backing of cmd/topk-owner and
+//     topk-query's -owners cluster mode: replica topologies with routing,
+//     failover and session handoff, per-attempt timeouts, jittered
+//     retries, circuit breakers and owner backpressure.
 //
 // Protocol answers, traffic accounting and access counts are identical
 // across backends by construction: the owner handlers are the same code,
@@ -101,9 +100,9 @@ type Session interface {
 	// tracker best position, scan depth, list metadata). Control-plane:
 	// not charged.
 	Stats(ctx context.Context, owner int) (OwnerStats, error)
-	// Elapsed returns the session's cumulative wall-clock measure: zero
-	// for Loopback, virtual simulated time for Concurrent, real time
-	// spent in exchanges for HTTP.
+	// Elapsed returns the session's cumulative wall-clock measure: the
+	// latency model's virtual time on Loopback (zero without a model),
+	// real time spent in exchanges on HTTP.
 	Elapsed() time.Duration
 	// Close releases the session's owner-side state. Idempotent,
 	// best-effort: owners evict the state even if the originator never

@@ -37,28 +37,6 @@ func open(t *testing.T, tr Transport) Session {
 	return s
 }
 
-// TestUpperJSONRoundTrip: the BPA2 piggyback must survive the JSON codec
-// at +Inf, which encoding/json rejects for plain float64s.
-func TestUpperJSONRoundTrip(t *testing.T) {
-	for _, v := range []float64{0, 1.25, -3.5, math.Inf(1)} {
-		raw, err := json.Marshal(Upper(v))
-		if err != nil {
-			t.Fatalf("marshal %v: %v", v, err)
-		}
-		var back Upper
-		if err := json.Unmarshal(raw, &back); err != nil {
-			t.Fatalf("unmarshal %s: %v", raw, err)
-		}
-		if float64(back) != v {
-			t.Errorf("%v round-tripped to %v via %s", v, back, raw)
-		}
-	}
-	var bad Upper
-	if err := json.Unmarshal([]byte(`"nope"`), &bad); err == nil {
-		t.Error("garbage accepted as Upper")
-	}
-}
-
 // TestMessageScalars pins the payload accounting every backend charges:
 // it must match the hand-counted scalar tallies of the simulation.
 func TestMessageScalars(t *testing.T) {
@@ -146,7 +124,7 @@ func TestOwnerHandlers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr := resp.(ProbeResp); pr.Entry != l.At(1) || float64(pr.BestScore) != l.At(1).Score || pr.Empty {
+	if pr := resp.(ProbeResp); pr.Entry != l.At(1) || pr.BestScore != l.At(1).Score || pr.Empty {
 		t.Errorf("probe = %+v", pr)
 	}
 
@@ -155,14 +133,14 @@ func TestOwnerHandlers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mr := resp.(MarkResp); float64(mr.BestScore) != l.At(1).Score || mr.Score != l.At(3).Score {
+	if mr := resp.(MarkResp); mr.BestScore != l.At(1).Score || mr.Score != l.At(3).Score {
 		t.Errorf("mark = %+v", mr)
 	}
 	resp, err = o.Handle(sid, ProbeReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr := resp.(ProbeResp); pr.Entry != l.At(2) || float64(pr.BestScore) != l.At(3).Score {
+	if pr := resp.(ProbeResp); pr.Entry != l.At(2) || pr.BestScore != l.At(3).Score {
 		t.Errorf("probe after mark = %+v", pr)
 	}
 
@@ -354,18 +332,18 @@ func TestLoopbackBasics(t *testing.T) {
 }
 
 // TestConcurrentClockMaxNotSum: the per-session virtual clock is the
-// concurrent backend's contract — a batch costs its slowest owner's
-// serialized exchanges, a lone exchange costs one round-trip, and
-// per-owner order within a batch is submission order.
+// latency Loopback's contract — the owners are priced as if they served
+// a batch concurrently, so a batch costs its slowest owner's serialized
+// exchanges, a lone exchange costs one round-trip, and failed exchanges
+// cost nothing.
 func TestConcurrentClockMaxNotSum(t *testing.T) {
 	db := testDB(t)
 	rtt := 10 * time.Millisecond
-	cc, err := NewConcurrent(db, ConstantLatency(rtt))
+	lb, err := NewLatencyLoopback(db, ConstantLatency(rtt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cc.Close()
-	s := open(t, cc)
+	s := open(t, lb)
 	ctx := context.Background()
 
 	// One exchange per owner: one RTT, not three.
@@ -402,10 +380,46 @@ func TestConcurrentClockMaxNotSum(t *testing.T) {
 		t.Errorf("after Do: clock %v, want %v", got, 5*rtt)
 	}
 
-	// A second session starts its own clock at zero.
-	s2 := open(t, cc)
+	// A failed exchange costs nothing, and neither does a batch it aborts.
+	if _, err := s.Do(ctx, 1, SortedReq{Pos: 0}); err == nil {
+		t.Fatal("bad position accepted")
+	}
+	if _, err := s.DoAll(ctx, []Call{
+		{Owner: 0, Req: SortedReq{Pos: 5}},
+		{Owner: 2, Req: SortedReq{Pos: -1}},
+	}); err == nil {
+		t.Fatal("bad position accepted in batch")
+	}
+	if got := s.Elapsed(); got != 5*rtt {
+		t.Errorf("failed exchanges moved the clock to %v, want %v", got, 5*rtt)
+	}
+
+	// Traced spans carry the modeled cost, not real handler time.
+	rec := NewSpanRecorder()
+	s.(SpanRecording).SetSpanRecorder(rec)
+	if _, err := s.Do(ctx, 2, SortedReq{Pos: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if sp := rec.Spans(); len(sp) != 1 || sp[0].Duration != rtt || sp[0].URL != "loopback" {
+		t.Errorf("latency span = %+v, want one %v loopback span", sp, rtt)
+	}
+
+	// A second session starts its own clock at zero, and a plain
+	// Loopback has no clock at all.
+	s2 := open(t, lb)
 	if got := s2.Elapsed(); got != 0 {
 		t.Errorf("fresh session clock %v", got)
+	}
+	plain, err := NewLoopback(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3 := open(t, plain)
+	if _, err := s3.DoAll(ctx, []Call{{Owner: 0, Req: SortedReq{Pos: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s3.Elapsed(); got != 0 {
+		t.Errorf("plain loopback clock %v", got)
 	}
 }
 
@@ -413,12 +427,11 @@ func TestConcurrentClockMaxNotSum(t *testing.T) {
 // it in submission order — BPA2's owner-side tracker depends on it.
 func TestConcurrentPerOwnerOrder(t *testing.T) {
 	db := testDB(t)
-	cc, err := NewConcurrent(db, nil)
+	lb, err := NewLatencyLoopback(db, ConstantLatency(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cc.Close()
-	s := open(t, cc)
+	s := open(t, lb)
 	// Probes to the same owner must come back in position order 1,2,3...
 	calls := make([]Call, 6)
 	for i := range calls {
@@ -435,55 +448,16 @@ func TestConcurrentPerOwnerOrder(t *testing.T) {
 	}
 }
 
-// TestConcurrentParallelism: a balanced batch must actually overlap the
-// owners — with one goroutine per owner, three slow handlers finish in
-// roughly one handler's real time. Guarded generously for CI noise.
-func TestConcurrentParallelism(t *testing.T) {
-	db := testDB(t)
-	cc, err := NewConcurrent(db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-	var mu sync.Mutex
-	inFlight, peak := 0, 0
-	slow := func(int, Request, Response) time.Duration {
-		mu.Lock()
-		inFlight++
-		if inFlight > peak {
-			peak = inFlight
-		}
-		mu.Unlock()
-		time.Sleep(20 * time.Millisecond)
-		mu.Lock()
-		inFlight--
-		mu.Unlock()
-		return 0
-	}
-	cc.lat = slow
-	s := open(t, cc)
-	if _, err := s.DoAll(context.Background(), []Call{
-		{Owner: 0, Req: SortedReq{Pos: 1}},
-		{Owner: 1, Req: SortedReq{Pos: 1}},
-		{Owner: 2, Req: SortedReq{Pos: 1}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if peak < 2 {
-		t.Errorf("peak concurrency %d: owners did not overlap", peak)
-	}
-}
-
-// TestConcurrentSessionsIndependent: two sessions sharing the owner
-// goroutines must see independent protocol state.
+// TestConcurrentSessionsIndependent: two sessions sharing the owners
+// must see independent protocol state and independent virtual clocks.
 func TestConcurrentSessionsIndependent(t *testing.T) {
 	db := testDB(t)
-	cc, err := NewConcurrent(db, nil)
+	rtt := time.Millisecond
+	lb, err := NewLatencyLoopback(db, ConstantLatency(rtt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cc.Close()
-	a, b := open(t, cc), open(t, cc)
+	a, b := open(t, lb), open(t, lb)
 	ctx := context.Background()
 	if _, err := a.Do(ctx, 0, ProbeReq{}); err != nil {
 		t.Fatal(err)
@@ -495,20 +469,26 @@ func TestConcurrentSessionsIndependent(t *testing.T) {
 	if got := resp.(ProbeResp).Entry; got != db.List(0).At(1) {
 		t.Errorf("session b's first probe = %+v, want position 1", got)
 	}
+	if _, err := a.Do(ctx, 1, ProbeReq{}); err != nil {
+		t.Fatal(err)
+	}
+	if a.Elapsed() != 2*rtt || b.Elapsed() != rtt {
+		t.Errorf("clocks a=%v b=%v, want %v and %v", a.Elapsed(), b.Elapsed(), 2*rtt, rtt)
+	}
 }
 
-// TestConcurrentCancelNoLeak: canceling mid-batch returns ctx.Err() and
-// leaves no goroutine behind — feeders bail out, in-flight replies land
-// in buffered channels, and the owner goroutines keep serving other
-// sessions.
+// TestConcurrentCancelNoLeak: canceling a latency Loopback exchange
+// returns ctx.Err() before any owner is touched, charges nothing, leaves
+// no goroutine behind, and leaves the session usable for live contexts.
 func TestConcurrentCancelNoLeak(t *testing.T) {
 	db := testDB(t)
-	cc, err := NewConcurrent(db, nil)
+	rtt := time.Millisecond
+	lb, err := NewLatencyLoopback(db, ConstantLatency(rtt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
-	s := open(t, cc)
+	s := open(t, lb)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.DoAll(ctx, []Call{
@@ -521,51 +501,24 @@ func TestConcurrentCancelNoLeak(t *testing.T) {
 	if _, err := s.Do(ctx, 0, SortedReq{Pos: 1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled Do: %v", err)
 	}
-	// The backend must stay usable for live contexts.
-	if _, err := s.Do(context.Background(), 0, SortedReq{Pos: 1}); err != nil {
-		t.Errorf("Do after canceled batch: %v", err)
+	if got := s.Elapsed(); got != 0 {
+		t.Errorf("canceled exchanges charged %v", got)
 	}
-	s.Close()
-	waitGoroutines(t, base)
-	cc.Close()
-}
-
-// waitGoroutines waits for the goroutine count to settle back to at most
-// base, tolerating scheduler lag.
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines leaked: %d, want <= %d", runtime.NumGoroutine(), base)
-}
-
-// TestConcurrentClosed: sessions and exchanges after Close fail cleanly.
-func TestConcurrentClosed(t *testing.T) {
-	cc, err := NewConcurrent(testDB(t), nil)
+	st, err := s.Stats(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := open(t, cc)
-	if err := cc.Close(); err != nil {
-		t.Fatal(err)
+	if st.Accesses.Total() != 0 {
+		t.Errorf("canceled exchanges reached the owner: %v", st.Accesses)
 	}
-	if err := cc.Close(); err != nil {
-		t.Errorf("double close: %v", err)
+	if _, err := s.Do(context.Background(), 0, SortedReq{Pos: 1}); err != nil {
+		t.Errorf("Do after canceled batch: %v", err)
 	}
-	ctx := context.Background()
-	if _, err := s.Do(ctx, 0, ProbeReq{}); err == nil {
-		t.Error("Do after Close succeeded")
+	if got := s.Elapsed(); got != rtt {
+		t.Errorf("clock after live Do = %v, want %v", got, rtt)
 	}
-	if _, err := s.DoAll(ctx, []Call{{Owner: 0, Req: ProbeReq{}}}); err == nil {
-		t.Error("DoAll after Close succeeded")
-	}
-	if _, err := cc.Open(ctx, bestpos.BitArrayKind); err == nil {
-		t.Error("Open after Close succeeded")
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("goroutines leaked: %d, want <= %d", n, base)
 	}
 }
 
@@ -634,12 +587,13 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if lr := resp.(LookupResp); lr.Pos != 4 || lr.Score != l.At(4).Score {
 		t.Errorf("lookup over HTTP = %+v", lr)
 	}
-	// Mark before any probe: the piggyback is +Inf and must survive JSON.
+	// Mark before any probe: the piggyback is +Inf and must survive the
+	// wire.
 	resp, err = s.Do(ctx, 1, MarkReq{Item: db.List(1).At(2).Item})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mr := resp.(MarkResp); !math.IsInf(float64(mr.BestScore), 1) {
+	if mr := resp.(MarkResp); !math.IsInf(mr.BestScore, 1) {
 		t.Errorf("mark piggyback = %+v, want +Inf", mr)
 	}
 	resp, err = s.Do(ctx, 1, ProbeReq{})
@@ -872,27 +826,6 @@ func TestHTTPCancel(t *testing.T) {
 	}
 }
 
-// TestHTTPResetDeprecated: the pre-session /reset endpoint stays a 200
-// no-op — it must not disturb any live session.
-func TestHTTPResetDeprecated(t *testing.T) {
-	db := testDB(t)
-	urls, servers := startHTTPOwners(t, db)
-	if err := servers[0].Owner().Open("keep", bestpos.BitArrayKind); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(urls[0]+"/reset", "application/json", strings.NewReader(`{"tracker":0}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/reset status %d", resp.StatusCode)
-	}
-	if servers[0].Owner().Sessions() != 1 {
-		t.Errorf("/reset disturbed sessions: %d left", servers[0].Owner().Sessions())
-	}
-}
-
 // TestDialValidation: misconfigured clusters are rejected at dial time.
 func TestDialValidation(t *testing.T) {
 	db := testDB(t)
@@ -1089,7 +1022,7 @@ func TestSessionTTLEviction(t *testing.T) {
 }
 
 // TestHTTPStatsExposesEvictions: the /stats handshake carries the
-// eviction tally and codec advertisement over the wire.
+// eviction tally over the wire.
 func TestHTTPStatsExposesEvictions(t *testing.T) {
 	db := testDB(t)
 	urls, servers := startHTTPOwners(t, db)
@@ -1116,90 +1049,6 @@ func TestHTTPStatsExposesEvictions(t *testing.T) {
 	}
 	if st.OpenSessions != 1 {
 		t.Errorf("/stats openSessions = %d, want 1", st.OpenSessions)
-	}
-	found := false
-	for _, c := range st.Codecs {
-		found = found || c == CodecBinary
-	}
-	if !found {
-		t.Errorf("/stats codecs = %v: binary not advertised", st.Codecs)
-	}
-}
-
-// TestWireNegotiation: a dial against advertising owners lands on the
-// binary codec; SetWireFormat forces either codec; a non-advertising
-// (old) owner downgrades the whole cluster to JSON. Answers are
-// identical in all cases.
-func TestWireNegotiation(t *testing.T) {
-	db := testDB(t)
-	urls, _ := startHTTPOwners(t, db)
-
-	hc, err := DialOwners(urls, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hc.Close()
-	if !hc.binaryWire() {
-		t.Error("advertising cluster did not negotiate binary")
-	}
-
-	run := func(t *testing.T, hc *HTTPClient) SortedResp {
-		t.Helper()
-		s := open(t, hc)
-		resp, err := s.Do(context.Background(), 0, SortedReq{Pos: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A coalesced round over the same wire.
-		batch, err := s.Do(context.Background(), 0, BatchReq{Reqs: []Request{
-			SortedReq{Pos: 2}, SortedReq{Pos: 3},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := batch.(BatchResp).Resps[1].(SortedResp).Entry; got != db.List(0).At(3) {
-			t.Errorf("batched sorted over wire = %+v", got)
-		}
-		return resp.(SortedResp)
-	}
-
-	want := run(t, hc) // binary
-	hc.SetWireFormat(WireJSON)
-	if hc.binaryWire() {
-		t.Error("WireJSON did not force JSON")
-	}
-	if got := run(t, hc); got != want {
-		t.Errorf("JSON wire answered %+v, binary %+v", got, want)
-	}
-	hc.SetWireFormat(WireBinary)
-	if got := run(t, hc); got != want {
-		t.Errorf("forced binary answered %+v, want %+v", got, want)
-	}
-
-	// An owner that strips the codec advertisement (an old server)
-	// downgrades negotiation to JSON, and queries still work.
-	stripped := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/stats" && r.URL.Query().Get("sid") == "" {
-			srv, err := NewServer(db, 0)
-			if err != nil {
-				http.Error(w, err.Error(), 500)
-				return
-			}
-			st := srv.Owner().Info()
-			st.Codecs = nil
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
-		http.NotFound(w, r)
-	}))
-	defer stripped.Close()
-	hc2, err := DialOwners([]string{stripped.URL, urls[1], urls[2]}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hc2.Close()
-	if hc2.binaryWire() {
-		t.Error("cluster with a non-advertising owner negotiated binary")
 	}
 }
 
@@ -1253,6 +1102,8 @@ func TestBatchWithProbeNotRetried(t *testing.T) {
 }
 
 // TestServerRejectsBadRequests: the handler maps malformed input to 4xx.
+// The data plane accepts only the binary codec: any other Content-Type
+// is a 415 whose error names the expected type.
 func TestServerRejectsBadRequests(t *testing.T) {
 	db := testDB(t)
 	srv, err := NewServer(db, 0)
@@ -1265,36 +1116,53 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	frame := func(req Request) string {
+		b, err := AppendRequestBinary(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	const bin, js = ContentTypeBinary, ContentTypeJSON
 	for _, c := range []struct {
-		method, path, body string
-		want               int
+		method, path, ct, body string
+		want                   int
 	}{
-		{http.MethodPost, "/rpc/zzz?sid=s", "{}", http.StatusBadRequest},
-		{http.MethodPost, "/rpc/sorted?sid=s", "not json", http.StatusBadRequest},
-		{http.MethodPost, "/rpc/sorted?sid=s", `{"pos":0}`, http.StatusBadRequest},
-		{http.MethodPost, "/rpc/sorted", `{"pos":1}`, http.StatusBadRequest},      // no sid
-		{http.MethodPost, "/rpc/sorted?sid=zz", `{"pos":1}`, http.StatusNotFound}, // unknown sid
-		{http.MethodGet, "/rpc/sorted?sid=s", "", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/session/open", `{"sid":"x","tracker":99}`, http.StatusBadRequest},
-		{http.MethodPost, "/session/open", `{"tracker":0}`, http.StatusBadRequest}, // empty sid
-		{http.MethodGet, "/session/open", "", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/session/close", "", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/reset", "", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/reset", `{"tracker":99}`, http.StatusOK}, // deprecated no-op
-		{http.MethodPost, "/stats", "{}", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/stats?sid=zz", "", http.StatusNotFound},
+		{http.MethodPost, "/rpc/zzz?sid=s", bin, "{}", http.StatusBadRequest},
+		{http.MethodPost, "/rpc/sorted?sid=s", bin, "not a frame", http.StatusBadRequest},
+		{http.MethodPost, "/rpc/sorted?sid=s", bin, frame(SortedReq{Pos: 0}), http.StatusBadRequest},
+		{http.MethodPost, "/rpc/lookup?sid=s", bin, frame(SortedReq{Pos: 1}), http.StatusBadRequest}, // kind mismatch
+		{http.MethodPost, "/rpc/sorted", bin, frame(SortedReq{Pos: 1}), http.StatusBadRequest},       // no sid
+		{http.MethodPost, "/rpc/sorted?sid=zz", bin, frame(SortedReq{Pos: 1}), http.StatusNotFound},  // unknown sid
+		{http.MethodPost, "/rpc/sorted?sid=s", js, `{"pos":1}`, http.StatusUnsupportedMediaType},
+		{http.MethodPost, "/rpc/sorted?sid=s", "", frame(SortedReq{Pos: 1}), http.StatusUnsupportedMediaType},
+		{http.MethodGet, "/rpc/sorted?sid=s", "", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/session/open", js, `{"sid":"x","tracker":99}`, http.StatusBadRequest},
+		{http.MethodPost, "/session/open", js, `{"tracker":0}`, http.StatusBadRequest}, // empty sid
+		{http.MethodGet, "/session/open", "", "", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/session/close", "", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/stats", js, "{}", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/stats?sid=zz", "", "", http.StatusNotFound},
 	} {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if c.ct != "" {
+			req.Header.Set("Content-Type", c.ct)
+		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var body httpError
+		derr := json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		if resp.StatusCode != c.want {
-			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+			t.Errorf("%s %s (%q): status %d, want %d", c.method, c.path, c.ct, resp.StatusCode, c.want)
+		}
+		if c.want == http.StatusUnsupportedMediaType && (derr != nil || !strings.Contains(body.Error, ContentTypeBinary)) {
+			t.Errorf("415 error payload %+v (decode %v) does not name %s", body, derr, ContentTypeBinary)
 		}
 	}
 

@@ -296,15 +296,6 @@ func (db *Database) Exec(ctx context.Context, q Query) (*Result, error) {
 	return out, nil
 }
 
-// TopK runs the query without a context.
-//
-// Deprecated: use Exec, which is TopK with a context.Context front door;
-// TopK is equivalent to Exec(context.Background(), q) and is kept for
-// callers written before the context-aware API.
-func (db *Database) TopK(q Query) (*Result, error) {
-	return db.Exec(context.Background(), q)
-}
-
 // Oracle returns the exact top-k by brute force, bypassing the access
 // model; useful for validating custom scoring functions.
 func (db *Database) Oracle(k int, scoring Scoring) ([]ScoredItem, error) {

@@ -204,10 +204,6 @@ func TestRestartAccountingParity(t *testing.T) {
 			if !reflect.DeepEqual(gn, wn) {
 				t.Errorf("primary accounting diverged after restart:\n%+v\nvs undisturbed\n%+v", gn, wn)
 			}
-			// The deprecated flat mirrors track Net.
-			if got.Stats.Messages != gn.Messages || got.Stats.TotalAccesses != gn.TotalAccesses {
-				t.Errorf("flat stat mirrors diverged from Net: %+v", got.Stats)
-			}
 		})
 	}
 }
@@ -253,9 +249,12 @@ func TestRestartExhaustedError(t *testing.T) {
 	}
 }
 
-// TestRestartWithHandoffDisabled: with session handoff off, a replicated
-// cluster recovers a killed sessionful query only through the restart
-// policy — the pre-handoff failure mode plus the new restart driver.
+// TestRestartWithHandoffDisabled: when a session has no synced mirror
+// to hand off to, a replicated cluster recovers a killed sessionful
+// query only through the restart policy. The mirror is disabled by
+// failing it first — its /session/sync answers 500, so the pin's first
+// delta and the promotion that follows both fail — and only then does
+// the pin die.
 func TestRestartWithHandoffDisabled(t *testing.T) {
 	db, err := Generate(GenSpec{Kind: GenUniform, N: 200, M: 2, Seed: 11})
 	if err != nil {
@@ -268,11 +267,13 @@ func TestRestartWithHandoffDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two replicas for list 0; the primary dies after two data-plane
-	// calls. With handoff disabled the session cannot move, so the first
-	// attempt dies with the typed owner failure — and the restart reruns
-	// the query, which pins to the surviving replica.
+	// calls, the secondary refuses every mirror sync. With no synced
+	// mirror the session cannot move, so the first attempt dies with the
+	// typed owner failure — and the restart reruns the query, which pins
+	// to the surviving replica (a pin without a sibling syncs nowhere).
 	topo := make([][]string, db.M())
 	var gate *deadAfterGate
+	var syncFailures atomic.Int32
 	for li := 0; li < db.M(); li++ {
 		reps := 1
 		if li == 0 {
@@ -284,10 +285,21 @@ func TestRestartWithHandoffDisabled(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := http.Handler(srv.Handler())
-			if li == 0 && ri == 0 {
+			switch {
+			case li == 0 && ri == 0:
 				gate = &deadAfterGate{inner: h}
 				gate.remaining.Store(2)
 				h = gate
+			case li == 0:
+				inner := h
+				h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == "/session/sync" {
+						syncFailures.Add(1)
+						http.Error(w, `{"error":"mirror out of sync"}`, http.StatusInternalServerError)
+						return
+					}
+					inner.ServeHTTP(w, r)
+				})
 			}
 			ts := httptest.NewServer(h)
 			t.Cleanup(ts.Close)
@@ -295,9 +307,8 @@ func TestRestartWithHandoffDisabled(t *testing.T) {
 		}
 	}
 	c, err := DialClusterConfig(ctx, ClusterConfig{
-		Topology:       topo,
-		DisableHandoff: true,
-		Restart:        RestartFailed,
+		Topology: topo,
+		Restart:  RestartFailed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,6 +321,9 @@ func TestRestartWithHandoffDisabled(t *testing.T) {
 	}
 	if !gate.dead.Load() {
 		t.Fatal("the kill never fired")
+	}
+	if syncFailures.Load() == 0 {
+		t.Fatal("the mirror never refused a sync: the session kept a synced mirror")
 	}
 	if got.Stats.Recovery.Restarts != 1 || got.Stats.Recovery.Handoffs != 0 {
 		t.Errorf("recovery = %+v, want 1 restart, 0 handoffs", got.Stats.Recovery)

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -53,7 +54,7 @@ func TestFromColumnsErrors(t *testing.T) {
 
 func TestTopKDefaultsToBPA2AndSum(t *testing.T) {
 	db := smallDB(t)
-	res, err := db.TopK(Query{K: 2})
+	res, err := db.Exec(context.Background(), Query{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestTopKAllAlgorithmsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range Algorithms() {
-		res, err := db.TopK(Query{K: 3, Algorithm: alg})
+		res, err := db.Exec(context.Background(), Query{K: 3, Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -98,11 +99,11 @@ func TestTopKAllAlgorithmsAgree(t *testing.T) {
 func TestTopKValidation(t *testing.T) {
 	db := smallDB(t)
 	for _, k := range []int{0, -1, 5} {
-		if _, err := db.TopK(Query{K: k}); err == nil {
+		if _, err := db.Exec(context.Background(), Query{K: k}); err == nil {
 			t.Errorf("K=%d accepted", k)
 		}
 	}
-	if _, err := db.TopK(Query{K: 1, Algorithm: Algorithm(99)}); err == nil {
+	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: Algorithm(99)}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -114,15 +115,15 @@ func (badScoring) Name() string                 { return "bad" }
 
 func TestCheckMonotoneRejectsBadScoring(t *testing.T) {
 	db := smallDB(t)
-	if _, err := db.TopK(Query{K: 1, Scoring: badScoring{}, CheckMonotone: true}); err == nil {
+	if _, err := db.Exec(context.Background(), Query{K: 1, Scoring: badScoring{}, CheckMonotone: true}); err == nil {
 		t.Error("non-monotone scoring accepted with CheckMonotone")
 	}
 	// Without the check it runs (and may return garbage) — documented.
-	if _, err := db.TopK(Query{K: 1, Scoring: badScoring{}}); err != nil {
+	if _, err := db.Exec(context.Background(), Query{K: 1, Scoring: badScoring{}}); err != nil {
 		t.Errorf("unexpected error without check: %v", err)
 	}
 	// A monotone function passes the check.
-	if _, err := db.TopK(Query{K: 1, Scoring: Sum(), CheckMonotone: true}); err != nil {
+	if _, err := db.Exec(context.Background(), Query{K: 1, Scoring: Sum(), CheckMonotone: true}); err != nil {
 		t.Errorf("Sum rejected by monotonicity check: %v", err)
 	}
 }
@@ -130,7 +131,7 @@ func TestCheckMonotoneRejectsBadScoring(t *testing.T) {
 func TestScoringHelpers(t *testing.T) {
 	db := smallDB(t)
 	for _, s := range []Scoring{Sum(), Avg(), Min(), Max()} {
-		if _, err := db.TopK(Query{K: 2, Scoring: s}); err != nil {
+		if _, err := db.Exec(context.Background(), Query{K: 2, Scoring: s}); err != nil {
 			t.Errorf("%s: %v", s.Name(), err)
 		}
 	}
@@ -138,7 +139,7 @@ func TestScoringHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.TopK(Query{K: 1, Scoring: w})
+	res, err := db.Exec(context.Background(), Query{K: 1, Scoring: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestScoringHelpers(t *testing.T) {
 func TestTrackers(t *testing.T) {
 	db := smallDB(t)
 	for _, tr := range []Tracker{BitArrayTracker, BPlusTreeTracker} {
-		res, err := db.TopK(Query{K: 2, Algorithm: BPA, Tracker: tr})
+		res, err := db.Exec(context.Background(), Query{K: 2, Algorithm: BPA, Tracker: tr})
 		if err != nil {
 			t.Fatalf("tracker %d: %v", tr, err)
 		}
@@ -182,7 +183,7 @@ func TestFromNamedScores(t *testing.T) {
 	if db.NameOf(id) != "beta" {
 		t.Errorf("NameOf(IDOf(beta)) = %q", db.NameOf(id))
 	}
-	res, err := db.TopK(Query{K: 1})
+	res, err := db.Exec(context.Background(), Query{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRunDistributed(t *testing.T) {
+func TestExecDistributedMatchesOracle(t *testing.T) {
 	db, err := Generate(GenSpec{Kind: GenUniform, N: 200, M: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +281,7 @@ func TestRunDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range Protocols() {
-		res, err := db.RunDistributed(Query{K: 5}, p)
+		res, err := db.ExecDistributed(context.Background(), Query{K: 5}, p)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -292,21 +293,21 @@ func TestRunDistributed(t *testing.T) {
 				t.Errorf("%v answer %d score %v, want %v", p, i, res.Items[i].Score, want[i].Score)
 			}
 		}
-		if res.Stats.Messages == 0 || res.Stats.TotalAccesses == 0 {
+		if res.Stats.Net.Messages == 0 || res.Stats.Net.TotalAccesses == 0 {
 			t.Errorf("%v: stats empty: %+v", p, res.Stats)
 		}
 	}
 }
 
-func TestRunDistributedValidation(t *testing.T) {
+func TestExecDistributedValidation(t *testing.T) {
 	db := smallDB(t)
-	if _, err := db.RunDistributed(Query{K: 0}, DistBPA2); err == nil {
+	if _, err := db.ExecDistributed(context.Background(), Query{K: 0}, DistBPA2); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, err := db.RunDistributed(Query{K: 1}, Protocol(42)); err == nil {
+	if _, err := db.ExecDistributed(context.Background(), Query{K: 1}, Protocol(42)); err == nil {
 		t.Error("unknown protocol accepted")
 	}
-	if _, err := db.RunDistributed(Query{K: 1, Scoring: Min()}, TPUT); err == nil {
+	if _, err := db.ExecDistributed(context.Background(), Query{K: 1, Scoring: Min()}, TPUT); err == nil {
 		t.Error("TPUT with Min accepted")
 	}
 }
@@ -316,11 +317,11 @@ func TestApproximationThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := db.TopK(Query{K: 10, Algorithm: TA})
+	exact, err := db.Exec(context.Background(), Query{K: 10, Algorithm: TA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := db.TopK(Query{K: 10, Algorithm: TA, Approximation: 1.5})
+	approx, err := db.Exec(context.Background(), Query{K: 10, Algorithm: TA, Approximation: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestApproximationThroughFacade(t *testing.T) {
 			t.Errorf("approximate item %v violates θ bound against exact k-th %v", it, kth)
 		}
 	}
-	if _, err := db.TopK(Query{K: 10, Approximation: 0.9}); err == nil {
+	if _, err := db.Exec(context.Background(), Query{K: 10, Approximation: 0.9}); err == nil {
 		t.Error("θ < 1 accepted")
 	}
 }
@@ -375,7 +376,7 @@ func TestPropertyFacadeMatchesOracle(t *testing.T) {
 			return false
 		}
 		for _, alg := range Algorithms() {
-			res, err := db.TopK(Query{K: k, Algorithm: alg})
+			res, err := db.Exec(context.Background(), Query{K: k, Algorithm: alg})
 			if err != nil {
 				return false
 			}
