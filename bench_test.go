@@ -663,39 +663,48 @@ func recordTrace(db *list.Database, run func(context.Context, transport.Transpor
 	return rec, nil
 }
 
-// TestBinaryCodecQueryBytes pins a whole query's wire traffic — request
-// plus response frames — per protocol on the seeded uniform workload
-// (n=2000, m=4, k=10): the bytes-per-query table of the package
-// documentation. Deterministic, since the traces are seeded; a change in
-// the codec's frame layout or in a protocol's messages moves it.
+// TestBinaryCodecQueryBytes pins a whole query's /rpc traffic — every
+// request body plus every response body, the response frame and its
+// receipt frame — per protocol over a flat HTTP cluster on the seeded
+// uniform workload (n=2000, m=4, k=10): the bytes-per-query table of the
+// package documentation. Deterministic, since the queries are seeded and
+// nothing fails; a change in the codec's frame layout, the receipt, or a
+// protocol's messages moves it.
 func TestBinaryCodecQueryBytes(t *testing.T) {
 	db, err := Generate(GenSpec{Kind: GenUniform, N: 2_000, M: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	urls := make([]string, db.db.M())
+	for i := range urls {
+		srv, err := transport.NewServer(db.db, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		urls[i] = ts.URL
+	}
+	hc, err := transport.DialOwners(urls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hc.Close()
 	want := map[string]int64{
-		"dist-ta":   141_984,
-		"dist-bpa":  156_672,
-		"dist-bpa2": 136_640,
-		"tput":      72_412,
-		"tput-a":    72_412,
+		"dist-ta":   212_976,
+		"dist-bpa":  227_664,
+		"dist-bpa2": 249_856,
+		"tput":      72_644,
+		"tput-a":    72_644,
 	}
 	for _, p := range transportProtocols {
-		rec, err := recordTrace(db.db, p.run, 10)
+		res, err := p.run(context.Background(), hc, dist.Options{K: 10, Scoring: score.Sum{}, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var bytes int64
-		for i, req := range rec.reqs {
-			bin, err := transport.AppendRequestBinary(nil, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bytes += int64(len(bin))
-			if bin, err = transport.AppendResponseBinary(nil, rec.resps[i]); err != nil {
-				t.Fatal(err)
-			}
-			bytes += int64(len(bin))
+		for _, sp := range res.Trace {
+			bytes += int64(sp.ReqBytes + sp.RespBytes)
 		}
 		if bytes != want[p.name] {
 			t.Errorf("%s: %d wire bytes per query, want %d", p.name, bytes, want[p.name])

@@ -134,16 +134,18 @@
 // little-endian binary frame (Content-Type application/x-topk-binary;
 // owners answer any other data-plane Content-Type with 415), which
 // carries scores — the +Inf best-position piggyback included — as raw
-// IEEE-754 bits. JSON stays on the control plane (sessions, stats,
-// filters) and on the debug endpoints. Whole-query wire traffic on the
-// seeded uniform workload (n=2000, m=4, k=10):
+// IEEE-754 bits; each answer ends with the owner's receipt of what the
+// exchange charged and did to the session, which is all the client
+// counts. JSON stays on the control plane (sessions, stats, filters)
+// and on the debug endpoints. Whole-query /rpc traffic, receipts
+// included, on the seeded uniform workload (n=2000, m=4, k=10):
 //
 //	protocol   binary bytes/query
-//	dist-ta        141,984
-//	dist-bpa       156,672
-//	dist-bpa2      136,640
-//	tput            72,412
-//	tput-a          72,412
+//	dist-ta        212,976
+//	dist-bpa       227,664
+//	dist-bpa2      249,856
+//	tput            72,644
+//	tput-a          72,644
 //
 // (TestBinaryCodecQueryBytes pins these; BenchmarkCodec prices the
 // encode/decode path. Answers and all accounting are bit-identical
@@ -221,9 +223,9 @@
 // zero failed queries as long as each list keeps one live replica.
 //
 // Session handoff (owner side, always on): after every successful
-// sessionful exchange the client synchronously mirrors the pinned replica's state
-// delta — positions newly seen, scan depth — to one sibling replica of
-// that list, over uncharged control-plane endpoints (POST /session/sync,
+// sessionful exchange the client synchronously mirrors the state delta
+// its receipt reports — positions newly seen, scan depth — to one
+// sibling replica of that list, over uncharged control-plane endpoints (POST /session/sync,
 // GET /session/state). The mirror is therefore always exactly the pin's
 // state as of the last exchange that succeeded. If the pin dies, the
 // session re-pins to the mirror and resumes; because the failed exchange
@@ -245,9 +247,10 @@
 //
 // Recovery never perturbs the paper's cost accounting. DistStats is
 // split into Net — the primary metrics, bit-identical to an undisturbed
-// single-owner run whatever handoffs or restarts happened, because the
-// client-side ledger charges each logical access exactly once and
-// restarted attempts report only the final run — and Recovery, which
+// single-owner run whatever handoffs, re-sends or restarts happened,
+// because accesses are summed from the owners' receipts of
+// acknowledged exchanges only and restarted attempts report only the
+// final run — and Recovery, which
 // tallies Restarts, Handoffs and FailedReplicas for the run. /v1/dist
 // reports the same split as "net" and "recovery" JSON blocks and accepts a
 // restart= query parameter; topk-query prints the recovery line under

@@ -20,15 +20,14 @@ import (
 	"topk/internal/transport"
 )
 
-// chaosCluster dials a 2-replica-per-list topology through a seeded
+// chaosCluster dials a reps-replica-per-list topology through a seeded
 // fault injector on the client side of the wire. DataPlaneOnly keeps
 // the dial handshake and session control plane clean, so every run
 // starts from a reachable cluster and the chaos lands exactly where
 // the hardening machinery (retries, breakers, handoff, restart) is
 // supposed to absorb it.
-func chaosCluster(t *testing.T, db *list.Database, policy transport.RoutingPolicy, seed int64) (*transport.HTTPClient, *chaos.Injector) {
+func chaosCluster(t *testing.T, db *list.Database, reps int, policy transport.RoutingPolicy, seed int64) (*transport.HTTPClient, *chaos.Injector) {
 	t.Helper()
-	const reps = 2
 	topo := make(transport.Topology, db.M())
 	for li := 0; li < db.M(); li++ {
 		for ri := 0; ri < reps; ri++ {
@@ -86,13 +85,16 @@ func typedChaosError(err error) bool {
 }
 
 // TestChaosParity is the chaos acceptance suite: every protocol, under
-// every routing policy, driven through a seeded fault injector dealing
-// delays, drops, stalls, torn frames, flipped bits, spurious 5xx and
-// replica partitions. Every query must either complete bit-identically
-// to the undisturbed loopback reference (answers, Net accounting,
-// access counts) or fail with a typed error before its deadline —
-// never a hang, never a silently wrong answer, never a leaked
-// goroutine.
+// every routing policy over two replicas per list and over a flat
+// one-replica-per-list topology, driven through a seeded fault injector
+// dealing delays, drops, stalls, torn frames, flipped bits, spurious
+// 5xx and replica partitions. Every query must either complete
+// bit-identically to the undisturbed loopback reference (answers, Net
+// accounting, access counts) or fail with a typed error before its
+// deadline — never a hang, never a silently wrong answer, never a
+// leaked goroutine. The flat leg holds the accounting of exchanges
+// re-sent after a torn or corrupt response: the owner served them
+// twice, but the query must report them once.
 func TestChaosParity(t *testing.T) {
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 300, M: 3, Seed: 3})
 	lb, err := transport.NewLoopback(db)
@@ -114,14 +116,20 @@ func TestChaosParity(t *testing.T) {
 		}
 	}
 
-	policies := []transport.RoutingPolicy{
-		transport.RoutePrimary, transport.RouteRoundRobin, transport.RouteFastest,
+	legs := []struct {
+		name   string
+		reps   int
+		policy transport.RoutingPolicy
+	}{
+		{transport.RoutePrimary.String(), 2, transport.RoutePrimary},
+		{transport.RouteRoundRobin.String(), 2, transport.RouteRoundRobin},
+		{transport.RouteFastest.String(), 2, transport.RouteFastest},
+		{"flat", 1, transport.RoutePrimary},
 	}
 	completed, failed := 0, 0
-	for pi, policy := range policies {
-		policy := policy
-		t.Run(policy.String(), func(t *testing.T) {
-			hc, inj := chaosCluster(t, db, policy, int64(1000+pi))
+	for li, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			hc, inj := chaosCluster(t, db, leg.reps, leg.policy, int64(1000+li))
 			base := runtime.NumGoroutine()
 			for _, p := range overProtocols {
 				for _, k := range ks {
@@ -161,7 +169,7 @@ func TestChaosParity(t *testing.T) {
 			}
 			// No query may leave a goroutine behind, however it ended.
 			waitGoroutines(t, base)
-			t.Logf("policy %s: injected %s over %d draws", policy, inj.Summary(), inj.Draws())
+			t.Logf("leg %s: injected %s over %d draws", leg.name, inj.Summary(), inj.Draws())
 		})
 	}
 	t.Logf("chaos matrix: %d completed bit-identical, %d typed failures", completed, failed)
@@ -184,7 +192,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	hc, inj := chaosCluster(t, db, transport.RouteRoundRobin, 777)
+	hc, inj := chaosCluster(t, db, 2, transport.RouteRoundRobin, 777)
 	base := runtime.NumGoroutine()
 
 	rng := rand.New(rand.NewSource(99))

@@ -2,11 +2,15 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"topk/internal/access"
+	"topk/internal/bestpos"
 	"topk/internal/gen"
+	"topk/internal/list"
 	"topk/internal/store/stripe"
 )
 
@@ -21,28 +25,7 @@ import (
 // path must perform (and charge) that read too.
 func TestAboveSeekScoreParity(t *testing.T) {
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 200, M: 1, Seed: 5})
-	raw, err := stripe.WriteBytes(db, stripe.WriteOptions{StripeCap: 16, PosPageCap: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sdb, err := stripe.OpenReader(bytes.NewReader(raw), int64(len(raw)), stripe.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sdb.Close() })
-	disk, err := sdb.Database()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The comparison is only meaningful if the two owners genuinely take
-	// different paths.
-	if _, ok := disk.List(0).(scoreSeeker); !ok {
-		t.Fatal("stripe list does not implement SeekScore; fast path untested")
-	}
-	if _, ok := db.List(0).(scoreSeeker); ok {
-		t.Fatal("RAM list implements SeekScore; no plain loop to compare against")
-	}
+	disk := stripeBacked(t, db)
 
 	ram, err := NewOwner(db, 0)
 	if err != nil {
@@ -74,16 +57,149 @@ func TestAboveSeekScoreParity(t *testing.T) {
 	for i, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			sid := fmt.Sprintf("parity-%d", i)
+			for _, o := range []*Owner{ram, seek} {
+				if err := o.Open(sid, bestpos.BitArrayKind); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for j, req := range sc.reqs {
 				want, werr := ram.Handle(sid, req)
 				got, gerr := seek.Handle(sid, req)
-				if (werr == nil) != (gerr == nil) {
-					t.Fatalf("req %d: errors diverge: ram %v, stripe %v", j, werr, gerr)
+				if werr != nil || gerr != nil {
+					t.Fatalf("req %d: ram %v, stripe %v", j, werr, gerr)
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("req %d (%#v): responses diverge:\n stripe %#v\n ram    %#v", j, req, got, want)
 				}
 			}
 		})
+	}
+}
+
+// stripeBacked serves db's lists from an in-memory stripe file with
+// small stripes, whose lists take the SeekScore fast path of the above
+// scan.
+func stripeBacked(t *testing.T, db *list.Database) *list.Database {
+	t.Helper()
+	raw, err := stripe.WriteBytes(db, stripe.WriteOptions{StripeCap: 16, PosPageCap: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdb, err := stripe.OpenReader(bytes.NewReader(raw), int64(len(raw)), stripe.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sdb.Close() })
+	disk, err := sdb.Database()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stripe cases are only meaningful if the two backings genuinely
+	// take different paths.
+	if _, ok := disk.List(0).(scoreSeeker); !ok {
+		t.Fatal("stripe list does not implement SeekScore; fast path untested")
+	}
+	if _, ok := db.List(0).(scoreSeeker); ok {
+		t.Fatal("RAM list implements SeekScore; no plain loop to compare against")
+	}
+	return disk
+}
+
+// TestReceiptsSumToSessionStats: whatever the request kinds, the
+// receipts an owner returns must add up to the session's own tally —
+// accesses summed, depth and best position as of the last exchange, and
+// the seen positions exactly the tracker's — on RAM lists and on
+// seek-capable stripe lists alike. The pinned totals hold the
+// above-scan charging rule: the read that stops a scan below T is
+// charged, a scan that runs off the end charges no extra read, and a
+// scan of an exhausted list charges nothing; an empty probe charges
+// nothing either.
+func TestReceiptsSumToSessionStats(t *testing.T) {
+	const n = 20
+	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: n, M: 1, Seed: 5})
+	l := db.List(0)
+	allProbes := make([]Request, n)
+	for i := range allProbes {
+		allProbes[i] = ProbeReq{}
+	}
+	cases := []struct {
+		name        string
+		reqs        []Request
+		want        access.Counts
+		depth, best int
+	}{
+		{"above-stops-below-T", []Request{TopKReq{K: 3}, AboveReq{T: l.At(10).Score}},
+			access.Counts{Sorted: 3 + 8}, 11, 0},
+		{"above-runs-off-end", []Request{TopKReq{K: 3}, AboveReq{T: -1}},
+			access.Counts{Sorted: n}, n, 0},
+		{"above-on-exhausted-list", []Request{AboveReq{T: -1}, AboveReq{T: -1}},
+			access.Counts{Sorted: n}, n, 0},
+		{"empty-probe", []Request{BatchReq{Reqs: allProbes}, ProbeReq{}},
+			access.Counts{Direct: n}, 0, n},
+		{"mixed-batch", []Request{BatchReq{Reqs: []Request{
+			SortedReq{Pos: 1},
+			LookupReq{Item: l.At(5).Item, WantPos: true},
+			MarkReq{Item: l.At(2).Item},
+			ProbeReq{},
+			FetchReq{Items: []list.ItemID{l.At(7).Item, l.At(9).Item}},
+			TopKReq{K: 2},
+			AboveReq{T: l.At(5).Score},
+		}}}, access.Counts{Sorted: 1 + 2 + 4, Random: 1 + 1 + 2, Direct: 1}, 6, 2},
+	}
+	for _, backing := range []struct {
+		name string
+		db   *list.Database
+	}{{"ram", db}, {"stripe", stripeBacked(t, db)}} {
+		o, err := NewOwner(backing.db, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			t.Run(backing.name+"/"+c.name, func(t *testing.T) {
+				sid := c.name
+				if err := o.Open(sid, bestpos.BitArrayKind); err != nil {
+					t.Fatal(err)
+				}
+				var sum access.Counts
+				var last Receipt
+				seen := make([]bool, n+1)
+				for j, req := range c.reqs {
+					_, rc, err := o.exchange(context.Background(), sid, req)
+					if err != nil {
+						t.Fatalf("req %d: %v", j, err)
+					}
+					sum = sum.Add(rc.Accesses)
+					for _, p := range rc.Seen {
+						seen[p] = true
+					}
+					last = rc
+				}
+				st, err := o.SessionStats(sid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sum != st.Accesses || last.Depth != st.Depth || last.Best != st.Best {
+					t.Errorf("receipts sum to %v depth %d best %d; session has %v depth %d best %d",
+						sum, last.Depth, last.Best, st.Accesses, st.Depth, st.Best)
+				}
+				if sum != c.want || last.Depth != c.depth || last.Best != c.best {
+					t.Errorf("receipts sum to %v depth %d best %d; want %v depth %d best %d",
+						sum, last.Depth, last.Best, c.want, c.depth, c.best)
+				}
+				ranges, _, err := o.SessionState(sid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tracked := make([]bool, n+1)
+				for _, rg := range ranges {
+					for p := rg[0]; p <= rg[1]; p++ {
+						tracked[p] = true
+					}
+				}
+				if !reflect.DeepEqual(seen, tracked) {
+					t.Errorf("receipts marked %v seen; tracker holds %v", seen, tracked)
+				}
+			})
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 
+	"topk/internal/access"
 	"topk/internal/list"
 )
 
@@ -18,6 +19,14 @@ import (
 // IEEE-754 bits for scores). Scores round-trip bit-exactly, including the
 // +Inf best-position piggyback. Batch frames nest one level: the payload
 // is a u32 message count followed by that many inner frames.
+//
+// A request body is one request frame. A 200 response body is two
+// frames: the response, then the exchange's receipt (see Receipt),
+//
+//	[codeReceipt][len][u32 sorted][u32 random][u32 direct][u32 depth]
+//	    [u32 best][u32 count][count × u32 seen position]
+//
+// both covered by the body's frame checksum (HeaderFrameCRC).
 //
 // Every /rpc body travels under ContentTypeBinary; the control plane
 // (sessions, stats, filters) and error payloads speak JSON.
@@ -44,6 +53,7 @@ const (
 	codeFetch
 	codeBatch
 	codeUpdate
+	codeReceipt
 )
 
 // kindCode maps a Kind to its frame byte.
@@ -218,7 +228,6 @@ func AppendResponseBinary(dst []byte, resp Response) ([]byte, error) {
 			b = appendF64(b, r.BestScore)
 			if !r.Empty {
 				b = appendEntry(b, r.Entry)
-				b = appendU32(b, uint32(r.Pos))
 			}
 			return b, nil
 		case MarkResp:
@@ -228,8 +237,7 @@ func AppendResponseBinary(dst []byte, resp Response) ([]byte, error) {
 			}
 			b = append(b, f)
 			b = appendF64(b, r.Score)
-			b = appendF64(b, r.BestScore)
-			return appendU32(b, uint32(r.Pos)), nil
+			return appendF64(b, r.BestScore), nil
 		case TopKResp:
 			b = appendU32(b, uint32(len(r.Entries)))
 			for _, e := range r.Entries {
@@ -569,11 +577,6 @@ func decodeResponseFrame(b []byte, allowBatch bool) (Response, []byte, error) {
 			if pr.Entry, err = r.entry(); err != nil {
 				return nil, nil, err
 			}
-			pos, err := r.u32()
-			if err != nil {
-				return nil, nil, err
-			}
-			pr.Pos = int(int32(pos))
 		}
 		resp = pr
 	case codeMark:
@@ -589,11 +592,7 @@ func decodeResponseFrame(b []byte, allowBatch bool) (Response, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		pos, err := r.u32()
-		if err != nil {
-			return nil, nil, err
-		}
-		resp = MarkResp{Score: score, BestScore: best, Exhausted: f&flagExhausted != 0, Pos: int(int32(pos))}
+		resp = MarkResp{Score: score, BestScore: best, Exhausted: f&flagExhausted != 0}
 	case codeTopK:
 		entries, err := decodeEntries(&r)
 		if err != nil {
@@ -690,6 +689,50 @@ func decodeEntries(r *reader) ([]list.Entry, error) {
 		}
 	}
 	return entries, nil
+}
+
+// appendReceipt appends rc as the receipt frame that follows every /rpc
+// response frame.
+func appendReceipt(dst []byte, rc Receipt) []byte {
+	dst, _ = appendFrame(dst, codeReceipt, func(b []byte) ([]byte, error) {
+		a := rc.Accesses
+		for _, v := range [...]int64{a.Sorted, a.Random, a.Direct, int64(rc.Depth), int64(rc.Best), int64(len(rc.Seen))} {
+			b = appendU32(b, uint32(v))
+		}
+		for _, p := range rc.Seen {
+			b = appendU32(b, uint32(p))
+		}
+		return b, nil
+	})
+	return dst
+}
+
+// decodeBody decodes a whole /rpc response body: the response frame and
+// the receipt frame behind it, nothing else.
+func decodeBody(b []byte) (Response, Receipt, error) {
+	resp, rest, err := decodeResponseFrame(b, true)
+	if err != nil {
+		return nil, Receipt{}, err
+	}
+	code, p, rest, err := frame(rest)
+	if err != nil {
+		return nil, Receipt{}, err
+	}
+	// Six fixed u32 fields, then exactly as many positions as the sixth
+	// announces.
+	u := func(i int) uint32 { return binary.LittleEndian.Uint32(p[4*i:]) }
+	if code != codeReceipt || len(rest) != 0 || len(p) < 24 || len(p)%4 != 0 || int(u(5)) != len(p)/4-6 {
+		return nil, Receipt{}, fmt.Errorf("transport: malformed receipt frame (code %d, %d bytes, %d trailing)", code, len(p), len(rest))
+	}
+	rc := Receipt{
+		Accesses: access.Counts{Sorted: int64(u(0)), Random: int64(u(1)), Direct: int64(u(2))},
+		Depth:    int(u(3)),
+		Best:     int(u(4)),
+	}
+	for i := 6; i < len(p)/4; i++ {
+		rc.Seen = append(rc.Seen, int(u(i)))
+	}
+	return resp, rc, nil
 }
 
 // bufPool recycles the encode/decode buffers of the HTTP hot path: one

@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"topk/internal/access"
 	"topk/internal/list"
 )
 
@@ -103,6 +105,61 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(dec, resp) {
 			t.Errorf("binary round-trip changed response:\n got %#v\nwant %#v", dec, resp)
+		}
+	}
+}
+
+// codecReceipts is a spread of exchange receipts: empty (an update's),
+// a probe's, a scan's, and a batch's with several seen positions.
+func codecReceipts() []Receipt {
+	return []Receipt{
+		{},
+		{Accesses: access.Counts{Direct: 1}, Seen: []int{1}, Best: 1},
+		{Accesses: access.Counts{Sorted: 1 << 20}, Depth: 1 << 20},
+		{Accesses: access.Counts{Sorted: 3, Random: 2, Direct: 1}, Seen: []int{9, 1, 2}, Depth: 7, Best: 2},
+	}
+}
+
+// TestBodyRoundTrip: a whole /rpc body — every response shape followed
+// by every receipt shape — must decode back to both bit-identically.
+func TestBodyRoundTrip(t *testing.T) {
+	for _, resp := range codecResponses() {
+		for _, rc := range codecReceipts() {
+			enc, err := AppendResponseBinary(nil, resp)
+			if err != nil {
+				t.Fatalf("%#v: encode: %v", resp, err)
+			}
+			gotResp, gotRC, err := decodeBody(appendReceipt(enc, rc))
+			if err != nil {
+				t.Fatalf("%#v + %#v: decode: %v", resp, rc, err)
+			}
+			if !reflect.DeepEqual(gotResp, resp) || !reflect.DeepEqual(gotRC, rc) {
+				t.Errorf("body round-trip changed:\n got %#v %#v\nwant %#v %#v", gotResp, gotRC, resp, rc)
+			}
+		}
+	}
+}
+
+// TestBodyRejectsMalformed: a body missing its receipt, carrying a
+// second response where the receipt belongs, a torn receipt, or bytes
+// after the receipt must error.
+func TestBodyRejectsMalformed(t *testing.T) {
+	resp, err := AppendResponseBinary(nil, SortedResp{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := appendReceipt(append([]byte(nil), resp...), codecReceipts()[3])
+	bad := map[string][]byte{
+		"no receipt":     resp,
+		"two responses":  append(append([]byte(nil), resp...), resp...),
+		"trailing bytes": append(append([]byte(nil), body...), 0),
+	}
+	for cut := len(resp); cut < len(body); cut++ {
+		bad[fmt.Sprintf("torn at %d", cut)] = body[:cut]
+	}
+	for name, b := range bad {
+		if _, _, err := decodeBody(b); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -300,24 +300,30 @@ func TestAdmissionShedAndBackpressure(t *testing.T) {
 }
 
 // FuzzDecodeResponseCorrupted is the chaos-codec fuzz target: valid
-// encoded response frames, torn at an arbitrary byte and with an
-// arbitrary bit flipped — the exact damage the fault injector deals —
-// must be rejected or decoded, never panic.
+// /rpc bodies — a response frame followed by its receipt frame — torn
+// at an arbitrary byte and with an arbitrary bit flipped (the exact
+// damage the fault injector deals) must be rejected or decoded, never
+// panic, through the whole-body decoder and the response-frame decoder
+// alike.
 func FuzzDecodeResponseCorrupted(f *testing.F) {
-	for _, resp := range codecResponses() {
+	receipts := codecReceipts()
+	for i, resp := range codecResponses() {
 		if enc, err := AppendResponseBinary(nil, resp); err == nil {
+			enc = appendReceipt(enc, receipts[i%len(receipts)])
 			f.Add(enc, uint16(len(enc)/2), uint32(7))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16, flip uint32) {
 		if n := int(cut); n < len(data) {
 			DecodeResponseBinary(data[:n])
+			decodeBody(data[:n])
 		}
 		if len(data) > 0 {
 			b := append([]byte(nil), data...)
 			pos := int(flip) % (len(b) * 8)
 			b[pos/8] ^= 1 << (pos % 8)
 			DecodeResponseBinary(b)
+			decodeBody(b)
 		}
 	})
 }

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"topk/internal/access"
 	"topk/internal/bestpos"
 	"topk/internal/list"
 	"topk/internal/obs"
@@ -37,10 +38,13 @@ import (
 //	GET  /session/state?sid=...  control-plane: export a session's
 //	                     replicable state (seen-position ranges + scan
 //	                     depth) for mirror promotion
-//	POST /rpc/{kind}?sid=...  one exchange; body and response are the
-//	                     message structs of this package in the binary
-//	                     wire codec (kind "batch" carries a coalesced
-//	                     round for this owner)
+//	POST /rpc/{kind}?sid=...  one exchange; the body is a request frame
+//	                     of the binary wire codec (kind "batch" carries
+//	                     a coalesced round for this owner), a 200
+//	                     answer is the response frame followed by the
+//	                     exchange's receipt frame — the accesses it
+//	                     charged, the positions it marked seen, and the
+//	                     session's depth and best position after it
 //	GET  /stats?sid=...  control-plane: the session's OwnerStats;
 //	                     without sid, the owner's list metadata
 //	                     (the dial handshake, which also reports the
@@ -468,7 +472,7 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 		mOwnerExchanges[kind].Inc()
 		mOwnerExchangeSec[kind].Observe(time.Since(start).Seconds())
 	}()
-	resp, err := s.owner.HandleContext(ctx, sid, req)
+	resp, rc, err := s.owner.exchange(ctx, sid, req)
 	if err != nil {
 		// Owner errors are malformed requests (bad position, bad item),
 		// unknown sessions, or an abandoned deadline budget — statusFor
@@ -480,11 +484,12 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	out := getBuf()
 	defer putBuf(out)
 	enc, err := AppendResponseBinary(*out, resp)
-	*out = enc
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "transport: encode response: %v", err)
 		return
 	}
+	enc = appendReceipt(enc, rc)
+	*out = enc
 	served = true
 	writeFrame(w, ContentTypeBinary, enc)
 }
@@ -775,14 +780,6 @@ func (t *HTTPClient) handshake(ctx context.Context) error {
 	return nil
 }
 
-// SetRequestTimeout changes the per-attempt bound on every subsequent
-// exchange (default DefaultTimeout). Set it before opening sessions.
-func (t *HTTPClient) SetRequestTimeout(d time.Duration) {
-	if d > 0 {
-		t.reqTimeout = d
-	}
-}
-
 // M returns the number of owners (lists).
 func (t *HTTPClient) M() int { return len(t.lists) }
 
@@ -1003,10 +1000,9 @@ func (t *HTTPClient) replicaInfo(ctx context.Context, r *replica) (OwnerStats, e
 
 // sessionListState is one session's per-list routing and accounting
 // state: which replicas hold the session, the replica its sessionful
-// traffic is pinned to, and — in replicated topologies — the
-// client-side access ledger. Guarded by its mutex; contention is nil in
-// practice because a session addresses each list from one goroutine at
-// a time.
+// traffic is pinned to, and the merged receipts of its acknowledged
+// exchanges. Guarded by its mutex; contention is nil in practice
+// because a session addresses each list from one goroutine at a time.
 type sessionListState struct {
 	mu sync.Mutex
 	// open[ri] records that replica ri acknowledged /session/open — the
@@ -1032,66 +1028,16 @@ type sessionListState struct {
 	// failed[ri] records replicas that failed an exchange (or a mirror
 	// sync) of this session — the session's recovery bookkeeping.
 	failed []bool
-	// ledger mirrors the accesses this session's successful exchanges
-	// charged, per the owner handler semantics (see record). In a
-	// replicated topology the authoritative tally would be scattered
-	// across the replicas that happened to serve each exchange — and
-	// partially lost with a crashed one — so Stats reports the ledger
-	// instead, keeping access accounting bit-identical to a single-owner
-	// run whatever routed or failed over.
-	ledger ledger
-}
-
-// ledger is the client-side access mirror of one (session, list) pair.
-type ledger struct {
-	sorted, random, direct int64
-	depth                  int
-}
-
-// record charges one successful exchange to the ledger, mirroring the
-// owner handlers exactly: sorted/topk/above are sorted accesses, lookup/
-// mark/fetch are random, probe is direct (unless it had nothing left to
-// read). n is the list length — needed to tell whether an above-scan
-// stopped on a below-threshold read (charged) or ran off the end.
-func (l *ledger) record(req Request, resp Response, n int) {
-	switch r := req.(type) {
-	case SortedReq:
-		l.sorted++
-	case LookupReq:
-		l.random++
-	case MarkReq:
-		l.random++
-	case FetchReq:
-		l.random += int64(len(r.Items))
-	case ProbeReq:
-		if pr, ok := resp.(ProbeResp); ok && !pr.Empty {
-			l.direct++
-		}
-	case TopKReq:
-		l.sorted += int64(r.K)
-		l.depth = r.K
-	case AboveReq:
-		ar, ok := resp.(AboveResp)
-		if !ok {
-			return
-		}
-		// The owner reads entries until one falls below the threshold
-		// (that read is charged too) or the list ends.
-		charge := len(ar.Entries) + 1
-		if rest := n - l.depth; charge > rest {
-			charge = rest
-		}
-		l.sorted += int64(charge)
-		l.depth += charge
-	case BatchReq:
-		br, ok := resp.(BatchResp)
-		if !ok || len(br.Resps) != len(r.Reqs) {
-			return
-		}
-		for i := range r.Reqs {
-			l.record(r.Reqs[i], br.Resps[i], n)
-		}
-	}
+	// charged, depth and best merge the receipts of the session's
+	// acknowledged exchanges on this list, whichever replica served
+	// them: charged sums their accesses, so an exchange re-sent after a
+	// lost response counts once; depth and best take the maximum. The
+	// maximum is the pin's current state, because every replica's copy
+	// of the session is a subset of the pin's — state reaches other
+	// replicas only by syncs from the pin, and a failed pin is dropped
+	// for good.
+	charged     access.Counts
+	depth, best int
 }
 
 // openTimeout caps each replica's /session/open attempt budget. The
@@ -1187,7 +1133,7 @@ func (t *HTTPClient) updateReplica(ctx context.Context, r *replica, req UpdateRe
 		if rerr != nil {
 			return fmt.Errorf("%w: read body: %v", errCorruptFrame, rerr)
 		}
-		resp, derr := DecodeResponseBinary(data)
+		resp, _, derr := decodeBody(data)
 		if derr != nil {
 			return fmt.Errorf("%w: decode: %v", errCorruptFrame, derr)
 		}
@@ -1433,48 +1379,24 @@ func (s *httpSession) controlBound() time.Duration {
 	return openTimeout
 }
 
-// appendSyncPositions collects the seen-position deltas a sessionful
-// response piggybacks (ProbeResp.Pos, MarkResp.Pos, recursively through
-// batches). TopK/Above deltas are depth-only and come from the ledger.
-func appendSyncPositions(dst []int, resp Response) []int {
-	switch r := resp.(type) {
-	case ProbeResp:
-		if r.Pos > 0 {
-			dst = append(dst, r.Pos)
-		}
-	case MarkResp:
-		if r.Pos > 0 {
-			dst = append(dst, r.Pos)
-		}
-	case BatchResp:
-		for _, inner := range r.Resps {
-			dst = appendSyncPositions(dst, inner)
-		}
-	}
-	return dst
-}
-
 // syncMirror forwards the session-state delta of one successful
-// sessionful exchange to the list's mirror replica, synchronously —
-// the mirror invariant (state equals the pin's as of the last
-// successful exchange) is what makes a later handoff replay-safe, so
-// the delta cannot be deferred. Marks are idempotent and the depth
-// merge monotonic, so a delta the mirror already holds converges. A
-// mirror that fails the sync is dropped (it may be stale now) and a
-// replacement is promoted from the pin's full state, best-effort.
-func (s *httpSession) syncMirror(ctx context.Context, li int, resp Response) {
-	if !s.t.replicated {
-		return
-	}
+// sessionful exchange — its receipt's seen positions and depth — to the
+// list's mirror replica, synchronously: the mirror invariant (state
+// equals the pin's as of the last successful exchange) is what makes a
+// later handoff replay-safe, so the delta cannot be deferred. Marks are
+// idempotent and the depth merge monotonic, so a delta the mirror
+// already holds converges. A mirror that fails the sync is dropped (it
+// may be stale now) and a replacement is promoted from the pin's full
+// state, best-effort.
+func (s *httpSession) syncMirror(ctx context.Context, li int, rc Receipt) {
 	ls := &s.state[li]
 	ls.mu.Lock()
 	m := ls.mirror
-	depth := ls.ledger.depth
 	ls.mu.Unlock()
 	if m == nil {
 		return
 	}
-	body := syncBody{SID: s.sid, Positions: appendSyncPositions(nil, resp), Depth: depth}
+	body := syncBody{SID: s.sid, Positions: rc.Seen, Depth: rc.Depth}
 	sctx, cancel := context.WithTimeout(ctx, s.controlBound())
 	err := s.t.doJSON(sctx, m, http.MethodPost, "/session/sync", body, nil)
 	cancel()
@@ -1589,27 +1511,26 @@ func (s *httpSession) handoff(ctx context.Context, li int, failed *replica) *rep
 	return next
 }
 
-// recordAccess charges a successful exchange to the session's access
-// ledger (replicated topologies only — flat clusters report the owner's
-// own authoritative tally).
-func (s *httpSession) recordAccess(li int, req Request, resp Response) {
-	if !s.t.replicated {
-		return
-	}
+// acknowledge merges the receipt of an acknowledged exchange into the
+// session's per-list accounting (see sessionListState).
+func (s *httpSession) acknowledge(li int, rc Receipt) {
 	ls := &s.state[li]
 	ls.mu.Lock()
-	ls.ledger.record(req, resp, s.t.n)
+	ls.charged = ls.charged.Add(rc.Accesses)
+	ls.depth = max(ls.depth, rc.Depth)
+	ls.best = max(ls.best, rc.Best)
 	ls.mu.Unlock()
 }
 
 // attemptRPC performs one data-plane round-trip with one replica,
-// reporting the encoded response size alongside
-// the decoded message (tracing and the wire-bytes metrics want the
-// on-the-wire count, which only this frame sees). Both bodies pass
-// through pooled buffers; decoded messages own their memory, so nothing
-// aliases a pooled slice after return.
-func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, body []byte) (Response, int, int, error) {
+// reporting the decoded response and receipt alongside the encoded
+// body size (tracing and the wire-bytes metrics want the on-the-wire
+// count, which only this frame sees). Both bodies pass through pooled
+// buffers; decoded messages own their memory, so nothing aliases a
+// pooled slice after return.
+func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, body []byte) (Response, Receipt, int, int, error) {
 	var out Response
+	var rc Receipt
 	respBytes := 0
 	status, err := s.t.attempt(ctx, http.MethodPost, r.url+s.rpcPath(kind), body, ContentTypeBinary, func(rd io.Reader) error {
 		dec := getBuf()
@@ -1621,14 +1542,14 @@ func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, bod
 		}
 		respBytes = len(data)
 		var derr error
-		if out, derr = DecodeResponseBinary(data); derr != nil {
+		if out, rc, derr = decodeBody(data); derr != nil {
 			// The owner answered 200, so a frame that fails to decode
 			// was damaged in transit: classify as corrupt, not permanent.
 			return fmt.Errorf("%w: decode: %v", errCorruptFrame, derr)
 		}
 		return nil
 	})
-	return out, respBytes, status, err
+	return out, rc, respBytes, status, err
 }
 
 // exchange performs one logical exchange with the owner of a list,
@@ -1669,8 +1590,8 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 
 	// Exchange-level observability: one metrics charge and — when the
 	// query is traced — one Span per logical exchange, fed by the
-	// attempt loop below. Neither touches Net or the access ledger;
-	// the paper's accounting is computed exactly as before.
+	// attempt loop below. Neither touches Net or the receipt
+	// accounting.
 	var (
 		reqLen     = len(*enc)
 		respBytes  = 0
@@ -1741,7 +1662,7 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 		}
 		attempted++
 		start := time.Now()
-		resp, rb, status, err := s.attemptRPC(ctx, target, kind, *enc)
+		resp, rc, rb, status, err := s.attemptRPC(ctx, target, kind, *enc)
 		if err == nil {
 			respBytes = rb
 			target.observe(time.Since(start))
@@ -1750,9 +1671,9 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 			if failedOver {
 				target.failovers.Add(1)
 			}
-			s.recordAccess(li, req, resp)
+			s.acknowledge(li, rc)
 			if sessionful {
-				s.syncMirror(ctx, li, resp)
+				s.syncMirror(ctx, li, rc)
 			}
 			return resp, nil
 		}
@@ -1911,72 +1832,39 @@ func (s *httpSession) DoAll(ctx context.Context, calls []Call) ([]Response, erro
 	return out, nil
 }
 
-// Stats reports an owner's bookkeeping for this session. In a flat
-// topology the single replica's tally is authoritative; in a replicated
-// one the exchanges were scattered across replicas by routing (and
-// possibly lost with a crashed one), so the access tally and scan depth
-// come from the session's client-side ledger — bit-identical to a
-// single-owner run by construction — while the remaining metadata comes
-// from the pinned (else first answering) replica.
+// Stats reports an owner's bookkeeping for this session: the list
+// metadata /stats reports at any routable replica, overlaid with the
+// session's accesses, depth and best position merged from the receipts
+// of its acknowledged exchanges — in every topology, so accounting is
+// bit-identical to a single-owner run whatever routed, failed over or
+// was re-sent. The request still names the session, so owner-side logs
+// and traces can attribute it, but nothing session-specific the replica
+// answers is kept.
 func (s *httpSession) Stats(ctx context.Context, owner int) (OwnerStats, error) {
 	if err := s.t.checkOwner(owner); err != nil {
 		return OwnerStats{}, err
 	}
-	ls := &s.state[owner]
-	ls.mu.Lock()
-	pin := ls.pin
-	led := ls.ledger
-	ls.mu.Unlock()
-
-	// Candidate order: the pinned replica knows the session's cursors;
-	// after it, prefer whatever route returns, then everything open.
-	var cands []*replica
-	seen := make([]bool, len(s.t.lists[owner]))
-	add := func(r *replica) {
-		if r != nil && !seen[r.index] {
-			seen[r.index] = true
-			cands = append(cands, r)
-		}
-	}
-	add(pin)
-	add(s.t.route(owner, s.routable(owner), nil))
-	for _, r := range s.t.lists[owner] {
-		if s.routable(owner)[r.index] {
-			add(r)
-		}
-	}
-
-	var st OwnerStats
-	var lastErr error
-	got := false
-	for _, r := range cands {
+	lastErr := fmt.Errorf("transport: owner %d: no routable replica", owner)
+	tried := make([]bool, len(s.t.lists[owner]))
+	for r := s.t.route(owner, s.routable(owner), tried); r != nil; r = s.t.route(owner, s.routable(owner), tried) {
+		var st OwnerStats
 		err := s.t.doJSON(ctx, r, http.MethodGet, "/stats?sid="+s.sid, nil, func(body io.Reader) error {
 			return json.NewDecoder(body).Decode(&st)
 		})
 		if err == nil {
-			got = true
-			break
+			ls := &s.state[owner]
+			ls.mu.Lock()
+			st.Accesses, st.Depth, st.Best = ls.charged, ls.depth, ls.best
+			ls.mu.Unlock()
+			return st, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
 			break
 		}
+		tried[r.index] = true
 	}
-	if !got {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("transport: owner %d: no routable replica", owner)
-		}
-		return OwnerStats{}, lastErr
-	}
-	if s.t.replicated {
-		st.Accesses.Sorted = led.sorted
-		st.Accesses.Random = led.random
-		st.Accesses.Direct = led.direct
-		if led.depth > st.Depth {
-			st.Depth = led.depth
-		}
-	}
-	return st, nil
+	return OwnerStats{}, lastErr
 }
 
 // Elapsed returns the real time this session has spent in exchanges.

@@ -28,10 +28,12 @@ const (
 // carry any; single positions, item IDs and thresholds are header-sized.
 //
 // Replayable reports whether re-sending the request after a lost
-// response returns the same answer. A replay may re-perform (and
-// re-charge) the owner-side access — honest accounting for work the
-// owner really did twice — but it must not change what any future
-// exchange of the session observes. Probe and above are NOT replayable:
+// response returns the same answer. A replay may re-perform the
+// owner-side access, but it must not change what any future exchange
+// of the session observes. Accounting is unaffected either way: every
+// topology reports each acknowledged exchange once, from the receipt
+// its owner returned (see Receipt), never the attempt whose response
+// was lost. Probe and above are NOT replayable:
 // each execution advances an owner-side cursor (the seen-position
 // tracker, the scan depth), so replaying one would silently skip list
 // entries and corrupt the answer. The HTTP client's transient-failure
@@ -143,12 +145,6 @@ type ProbeResp struct {
 	// response carries the piggyback only (defensive: the originator
 	// tracks exhaustion and normally never probes an exhausted owner).
 	Empty bool
-	// Pos is the position this probe marked seen (0 when Empty) — the
-	// session-state delta the replicated client mirrors to a sibling
-	// replica so the session survives the pinned replica's death.
-	// Recovery vocabulary, not protocol payload: it is excluded from
-	// ResponseScalars, so accounting stays identical across backends.
-	Pos int
 }
 
 // ResponseScalars: item, score and best-position score — or only the
@@ -183,12 +179,6 @@ type MarkResp struct {
 	Score     float64
 	BestScore float64
 	Exhausted bool
-	// Pos is the position this mark recorded — the session-state delta
-	// the replicated client mirrors to a sibling replica (see
-	// ProbeResp.Pos). Excluded from ResponseScalars: the position itself
-	// stays at the owner in the paper's protocol, and the mirror delta
-	// must not perturb the payload accounting.
-	Pos int
 }
 
 // ResponseScalars: score and best-position score.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -113,6 +114,29 @@ type ownerSession struct {
 	tr       bestpos.Tracker
 	depth    int
 	lastUsed time.Time
+	// seen collects the positions the exchange being served marks seen,
+	// for its receipt.
+	seen []int
+}
+
+// markSeen records position p in the session's tracker and for the
+// receipt of the exchange being served.
+func (s *ownerSession) markSeen(p int) {
+	s.tr.MarkSeen(p)
+	s.seen = append(s.seen, p)
+}
+
+// Receipt records what one exchange did to its session at the replica
+// that served it: the accesses it charged, the positions it marked
+// seen, and the session's scan depth and best position afterwards. The
+// HTTP server ships it behind every /rpc response, so the originator's
+// accounting and mirror deltas come from the owner's charging rules
+// alone. Update exchanges carry an empty receipt.
+type Receipt struct {
+	Accesses access.Counts
+	Seen     []int
+	Depth    int
+	Best     int
 }
 
 // Owner is the owner-side half of every backend: the message handlers of
@@ -548,7 +572,7 @@ func (o *Owner) SessionStats(sid string) (OwnerStats, error) {
 // replaying a sync — or receiving one the pinned replica already
 // applied — converges instead of corrupting state. Control-plane:
 // nothing here touches the access probe, so mirrored state never
-// perturbs the accounting the originator's ledger holds authoritative.
+// perturbs the accounting the originator sums from exchange receipts.
 func (o *Owner) SyncSession(sid string, positions []int, ranges [][2]int, depth int) error {
 	s, err := o.session(sid)
 	if err != nil {
@@ -584,8 +608,8 @@ func (o *Owner) SyncSession(sid string, positions []int, ranges [][2]int, depth 
 // positions compressed into inclusive [lo,hi] ranges, plus the scan
 // depth — so a freshly promoted mirror replica can be brought up to the
 // pinned replica's state in one SyncSession. The access tally is
-// deliberately absent: it is not replicable state (the originator's
-// ledger is authoritative in replicated topologies).
+// deliberately absent: it is not replicable state (the originator sums
+// it from exchange receipts).
 func (o *Owner) SessionState(sid string) (ranges [][2]int, depth int, err error) {
 	s, err := o.session(sid)
 	if err != nil {
@@ -629,22 +653,49 @@ func (o *Owner) Handle(sid string, req Request) (Response, error) {
 // burns a scan on a query nobody is waiting for. Work already done
 // stays done and stays charged, like a batch aborting midway.
 func (o *Owner) HandleContext(ctx context.Context, sid string, req Request) (Response, error) {
+	resp, _, err := o.exchange(ctx, sid, req)
+	return resp, err
+}
+
+// exchange is HandleContext plus the exchange's Receipt: the probe's
+// tally diffed around dispatch, the positions handlers marked seen, and
+// the session's depth and best position afterwards.
+func (o *Owner) exchange(ctx context.Context, sid string, req Request) (Response, Receipt, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, Receipt{}, err
 	}
 	if r, ok := req.(UpdateReq); ok {
 		// Updates are feed-plane, not query-plane: they carry no session
 		// (any sid is ignored), fan out to every replica of the list, and
 		// must not resolve — or create — per-session protocol state.
-		return o.handleUpdate(r)
+		resp, err := o.handleUpdate(r)
+		return resp, Receipt{}, err
 	}
 	s, err := o.session(sid)
 	if err != nil {
-		return nil, err
+		return nil, Receipt{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return o.dispatch(ctx, s, req)
+	before := s.pr.Counts()
+	s.seen = s.seen[:0]
+	resp, err := o.dispatch(ctx, s, req)
+	if err != nil {
+		return nil, Receipt{}, err
+	}
+	after := s.pr.Counts()
+	rc := Receipt{
+		Accesses: access.Counts{
+			Sorted: after.Sorted - before.Sorted,
+			Random: after.Random - before.Random,
+			Direct: after.Direct - before.Direct,
+		},
+		// A copy: the receipt is encoded after the session unlocks.
+		Seen:  slices.Clone(s.seen),
+		Depth: s.depth,
+		Best:  s.tr.Best(),
+	}
+	return resp, rc, nil
 }
 
 // dispatch routes one request to its handler; the caller holds the
@@ -779,9 +830,9 @@ func (o *Owner) handleProbe(s *ownerSession, _ ProbeReq) (Response, error) {
 		return ProbeResp{BestScore: best, Exhausted: true, Empty: true}, nil
 	}
 	e := s.pr.Direct(0, p)
-	s.tr.MarkSeen(p)
+	s.markSeen(p)
 	best, exhausted := o.bestState(s)
-	return ProbeResp{Entry: e, BestScore: best, Exhausted: exhausted, Pos: p}, nil
+	return ProbeResp{Entry: e, BestScore: best, Exhausted: exhausted}, nil
 }
 
 // handleMark serves BPA2's random access: the owner resolves the item,
@@ -792,9 +843,9 @@ func (o *Owner) handleMark(s *ownerSession, req MarkReq) (Response, error) {
 		return nil, err
 	}
 	sc, p := s.pr.Random(0, req.Item)
-	s.tr.MarkSeen(p)
+	s.markSeen(p)
 	best, exhausted := o.bestState(s)
-	return MarkResp{Score: sc, BestScore: best, Exhausted: exhausted, Pos: p}, nil
+	return MarkResp{Score: sc, BestScore: best, Exhausted: exhausted}, nil
 }
 
 // handleTopK serves TPUT phase 1: the owner reads its K best entries.

@@ -67,8 +67,9 @@ func (tp Topology) Validate() error {
 }
 
 // Replicated reports whether any list has more than one replica — the
-// switch that arms session pinning, failover and the client-side access
-// ledger.
+// switch that arms the background health prober and caps session opens
+// at openTimeout. Routing, failover and accounting work the same way in
+// every topology.
 func (tp Topology) Replicated() bool {
 	for _, reps := range tp {
 		if len(reps) > 1 {

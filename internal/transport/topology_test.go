@@ -257,7 +257,7 @@ func TestStatelessFailover(t *testing.T) {
 	if h[0].Failures == 0 {
 		t.Error("replica A failure not tallied")
 	}
-	// The ledger keeps the access tally coherent across the failover.
+	// The receipts keep the access tally coherent across the failover.
 	st, err := s.Stats(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -498,46 +498,64 @@ func TestReplicaIdentityInStats(t *testing.T) {
 	}
 }
 
-// TestLedgerAboveAccounting pins the one subtle ledger rule: an
-// above-scan charges the below-threshold read that stopped it, except
-// when it ran off the end of the list.
-func TestLedgerAboveAccounting(t *testing.T) {
-	n := 10
-	var l ledger
-	// TopK sets the depth and charges K sorted reads.
-	l.record(TopKReq{K: 3}, TopKResp{}, n)
-	if l.sorted != 3 || l.depth != 3 {
-		t.Fatalf("after topk: %+v", l)
+// TestStatsBestFromNonMirrorReplica: with three replicas, Stats may be
+// answered by a replica that is neither the pin nor the mirror and so
+// never saw the session's state. The session's best position (like its
+// accesses and depth) must still be the pin's last one — it comes from
+// the receipts the pin returned, not from whichever replica answered.
+func TestStatsBestFromNonMirrorReplica(t *testing.T) {
+	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
+	var servers []*httptest.Server
+	var urls []string
+	for i := 0; i < 3; i++ {
+		srv, err := NewServer(one, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		servers = append(servers, ts)
+		urls = append(urls, ts.URL)
 	}
-	// Above returning 4 entries stopped on a 5th below-threshold read.
-	l.record(AboveReq{T: 0.5}, AboveResp{Entries: make([]list.Entry, 4)}, n)
-	if l.sorted != 3+5 || l.depth != 8 {
-		t.Fatalf("after above: %+v", l)
+	hc, err := Dial(context.Background(), DialConfig{
+		Topology:       Topology{urls},
+		Policy:         RouteRoundRobin,
+		HealthInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Above returning the remaining 2 entries ran off the end: no
-	// stopping read to charge.
-	l.record(AboveReq{T: 0.1}, AboveResp{Entries: make([]list.Entry, 2)}, n)
-	if l.sorted != 8+2 || l.depth != 10 {
-		t.Fatalf("after tail above: %+v", l)
+	defer hc.Close()
+	ctx := context.Background()
+	s, err := hc.Open(ctx, bestpos.BitArrayKind)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// At the end, a further above charges nothing.
-	l.record(AboveReq{T: 0}, AboveResp{}, n)
-	if l.sorted != 10 || l.depth != 10 {
-		t.Fatalf("after exhausted above: %+v", l)
+	defer s.Close()
+	const probes = 3
+	for i := 0; i < probes; i++ {
+		if _, err := s.Do(ctx, 0, ProbeReq{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Batches recurse into their members.
-	var b ledger
-	b.record(BatchReq{Reqs: []Request{SortedReq{Pos: 1}, LookupReq{Item: 1}, MarkReq{Item: 2}}},
-		BatchResp{Resps: []Response{SortedResp{}, LookupResp{}, MarkResp{}}}, n)
-	if b.sorted != 1 || b.random != 2 {
-		t.Fatalf("batch ledger: %+v", b)
+	ls := &s.(*httpSession).state[0]
+	pin, mirror := ls.pin, ls.mirror
+	if pin == nil || mirror == nil {
+		t.Fatalf("session not pinned and mirrored: pin %v mirror %v", pin, mirror)
 	}
-	// An empty probe charges nothing; a real one charges a direct read.
-	var p ledger
-	p.record(ProbeReq{}, ProbeResp{Empty: true}, n)
-	p.record(ProbeReq{}, ProbeResp{}, n)
-	if p.direct != 1 {
-		t.Fatalf("probe ledger: %+v", p)
+	other := 3 - pin.index - mirror.index
+	// Close the pin's server and leave the non-mirror replica the only
+	// healthy one, so Stats routes there.
+	servers[pin.index].Close()
+	hc.noteHealth(pin, false)
+	hc.noteHealth(mirror, false)
+	st, err := s.Stats(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Best != probes || st.Accesses.Direct != probes {
+		t.Errorf("Stats via replica %d = best %d, direct %d; want the pin's best %d and %d probes",
+			other, st.Best, st.Accesses.Direct, probes, probes)
 	}
 }
 
@@ -893,7 +911,7 @@ func TestRestartedReplicaFailsOver(t *testing.T) {
 		}
 	}
 	if st, err := s.Stats(ctx, 0); err != nil || st.Accesses.Sorted != 5 {
-		t.Errorf("ledger after restart failover: %+v, %v", st.Accesses, err)
+		t.Errorf("accesses after restart failover: %+v, %v", st.Accesses, err)
 	}
 
 	// Sessionful traffic pinned to a replica that restarts (session
@@ -926,7 +944,7 @@ func TestRestartedReplicaFailsOver(t *testing.T) {
 // replica a session's cursor-bearing traffic is pinned to re-pins the
 // session to the sibling that mirrors its state — the query resumes
 // exactly where the dead pin left it, no cursor advances twice, and the
-// ledger accounting is identical to an undisturbed run.
+// receipt accounting is identical to an undisturbed run.
 func TestSessionfulHandoff(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
 	srvA, err := NewServer(one, 0)
@@ -994,7 +1012,7 @@ func TestSessionfulHandoff(t *testing.T) {
 	if _, err := s.Do(ctx, 0, MarkReq{Item: one.List(0).At(9).Item}); err != nil {
 		t.Fatalf("mark after handoff: %v", err)
 	}
-	// The ledger reports what an undisturbed run would: 4 probes + 1 mark.
+	// The receipts report what an undisturbed run would: 4 probes + 1 mark.
 	st, err := s.Stats(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
