@@ -431,10 +431,16 @@
 // -stripe-cache (default 64 MiB). The budget is a hard ceiling on the
 // accounted decoded bytes resident — insertion evicts first, and a block
 // larger than the whole budget is served uncached — so an owner's memory
-// stays bounded no matter how large its lists are. Score fences let a
-// threshold seek touch one stripe instead of scanning; none of this
-// changes what an algorithm is charged, which is how the parity suites
-// can hold disk-backed runs bit-identical to RAM ones.
+// stays bounded no matter how large its lists are. Each list keeps a
+// hint, the last entry stripe the cache returned for it: consecutive
+// reads inside that stripe skip the cache lock, map and LRU, so a scan
+// enters the cache once per stripe. Only a block the cache admitted is
+// hinted, and eviction and Close clear the hint, so the budget stays a
+// hard ceiling; a hinted read still counts as one cache hit per entry
+// read. Score fences let a threshold seek touch one stripe instead of
+// scanning; none of this changes what an algorithm is charged, which is
+// how the parity suites can hold disk-backed runs bit-identical to RAM
+// ones.
 //
 // A warm-restarting owner, end to end:
 //

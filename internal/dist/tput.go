@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"topk/internal/list"
 	"topk/internal/rank"
@@ -66,6 +67,17 @@ func uniformThresholds(tau1 float64, boundary []float64) []float64 {
 
 // tputRun is the three-phase skeleton shared by TPUT and TPUTA; only the
 // phase-2 threshold split differs.
+//
+// The originator keeps what it learns in one row-major table of n·m
+// scores: cell d·m+i is item d's score in list i, or unknownScore until
+// an owner reports it, plus a per-item count of known cells. Bounding an
+// item reads one contiguous row, and every pass over the seen items
+// sweeps the table in item order, so the passes read it sequentially
+// (a seen item is one with a known cell). Owner data is checked before it enters
+// the table: every phase-1/2 entry needs an item in [0,n), and every
+// reported score must be finite and non-negative — the precondition
+// TPUT's bounds rest on, and what keeps a reported score from reading as
+// unknown. A violation fails the query with an error naming the owner.
 func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thresholdRule) (*Result, error) {
 	r, err := newRunner(ctx, t, opts)
 	if err != nil {
@@ -88,25 +100,27 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 		}
 	}
 
-	// Originator bookkeeping: the known local scores per (list, item).
-	local := make([][]float64, m)
-	known := make([][]bool, m)
-	for i := range known {
-		local[i] = make([]float64, n)
-		known[i] = make([]bool, n)
+	// Originator bookkeeping: the row-major score table and the known
+	// count per item.
+	cells := make([]float64, n*m)
+	for c := range cells {
+		cells[c] = unknownScore
 	}
-	knownCnt := make([]int, n)
-	var items []list.ItemID // distinct seen items, first-seen order
-	add := func(i int, e list.Entry) {
-		if known[i][e.Item] {
-			return
+	knownCnt := make([]int32, n)
+	add := func(i int, e list.Entry) error {
+		if e.Item < 0 || int(e.Item) >= n {
+			return fmt.Errorf("dist: owner %d returned item %d outside [0,%d)", i, e.Item, n)
 		}
-		known[i][e.Item] = true
-		local[i][e.Item] = e.Score
-		if knownCnt[e.Item] == 0 {
-			items = append(items, e.Item)
+		if err := checkScore(i, e.Item, e.Score); err != nil {
+			return err
 		}
+		c := &cells[int(e.Item)*m+i]
+		if *c != unknownScore {
+			return nil
+		}
+		*c = e.Score
 		knownCnt[e.Item]++
+		return nil
 	}
 	// bound combines an item's known scores with fill[i] substituted for
 	// the unknown ones — fill 0 gives the partial-sum lower bound, the
@@ -116,12 +130,11 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 	// exactly.
 	locals := make([]float64, m)
 	bound := func(d list.ItemID, fill []float64) float64 {
-		for i := 0; i < m; i++ {
-			if known[i][d] {
-				locals[i] = local[i][d]
-			} else {
-				locals[i] = fill[i]
+		for i, v := range cells[int(d)*m : int(d)*m+m] {
+			if v == unknownScore {
+				v = fill[i]
 			}
+			locals[i] = v
 		}
 		return r.f.Combine(locals)
 	}
@@ -130,8 +143,10 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 	// least k distinct items (each owner contributes k).
 	kth := func() float64 {
 		set := rank.NewSet(k)
-		for _, d := range items {
-			set.Add(d, bound(d, zeros))
+		for d := range list.ItemID(n) {
+			if knownCnt[d] > 0 {
+				set.Add(d, bound(d, zeros))
+			}
 		}
 		t, _ := set.Threshold()
 		return t
@@ -158,7 +173,9 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 			return nil, fmt.Errorf("dist: owner %d returned %d phase-1 entries, want %d", i, len(tr.Entries), k)
 		}
 		for _, e := range tr.Entries {
-			add(i, e)
+			if err := add(i, e); err != nil {
+				return nil, err
+			}
 		}
 		boundary[i] = tr.Entries[k-1].Score
 	}
@@ -181,7 +198,9 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 			return nil, err
 		}
 		for _, e := range ar.Entries {
-			add(i, e)
+			if err := add(i, e); err != nil {
+				return nil, err
+			}
 		}
 	}
 	tau2 := kth()
@@ -191,12 +210,12 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 	// item from above.
 	r.nw.net.Rounds++
 	missing := make([][]list.ItemID, m)
-	for _, d := range items {
-		if knownCnt[d] == m || bound(d, T) < tau2 {
+	for d := range list.ItemID(n) {
+		if knownCnt[d] == 0 || int(knownCnt[d]) == m || bound(d, T) < tau2 {
 			continue
 		}
-		for i := 0; i < m; i++ {
-			if !known[i][d] {
+		for i, v := range cells[int(d)*m : int(d)*m+m] {
+			if v == unknownScore {
 				missing[i] = append(missing[i], d)
 			}
 		}
@@ -222,16 +241,18 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 			return nil, fmt.Errorf("dist: owner %d returned %d scores for %d items", i, len(fr.Scores), len(missing[i]))
 		}
 		for j, d := range missing[i] {
-			known[i][d] = true
-			local[i][d] = fr.Scores[j]
+			if err := checkScore(i, d, fr.Scores[j]); err != nil {
+				return nil, err
+			}
+			cells[int(d)*m+i] = fr.Scores[j]
 			knownCnt[d]++
 		}
 	}
 
 	// Every true top-k item is fully resolved: the unresolved ones are
 	// bounded strictly below τ2 while k resolved items reach it.
-	for _, d := range items {
-		if knownCnt[d] == m {
+	for d := range list.ItemID(n) {
+		if int(knownCnt[d]) == m {
 			r.y.Add(d, bound(d, zeros))
 		}
 	}
@@ -246,4 +267,17 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 		}
 	}
 	return r.finish(res)
+}
+
+// unknownScore marks a cell of TPUT's score table no owner has reported:
+// checkScore admits only non-negative scores, so no real score equals it.
+const unknownScore = -1.0
+
+// checkScore rejects a score owner i reported for item d that TPUT's
+// non-negative-score precondition rules out.
+func checkScore(i int, d list.ItemID, s float64) error {
+	if !(s >= 0) || math.IsInf(s, 1) {
+		return fmt.Errorf("dist: owner %d returned score %v for item %d, want a finite non-negative score", i, s, d)
+	}
+	return nil
 }

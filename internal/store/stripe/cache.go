@@ -3,6 +3,9 @@ package stripe
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
+
+	topklist "topk/internal/list"
 )
 
 // blockKind distinguishes the two cached block families of one list.
@@ -21,12 +24,22 @@ type ckey struct {
 	idx  int32
 }
 
-// centry is one resident block: the decoded payload and its accounted
-// size in bytes.
+// block is one decoded entry stripe as the cache holds it and a list's
+// hint serves it: idx is the stripe index, so a read can tell whether the
+// hinted block covers its position.
+type block struct {
+	idx  int
+	ents []topklist.Entry
+}
+
+// centry is one resident block: the decoded payload, its accounted size
+// in bytes, and — for entry stripes — the hint of the list it belongs
+// to, which eviction clears when it still points at this block.
 type centry struct {
 	key  ckey
 	val  any
 	size int64
+	hint *atomic.Pointer[block]
 	elem *list.Element
 }
 
@@ -35,6 +48,10 @@ type centry struct {
 // bytes — insertion evicts first, and a block larger than the whole
 // budget is returned to the caller without being admitted — which is
 // what lets a deployment cap an owner's memory regardless of list size.
+//
+// Every hint store and clear happens under the cache lock, together with
+// the admission or eviction it follows, so a list hint only ever points
+// at a resident block: hints keep nothing alive beyond the budget.
 //
 // CacheStats (and the process-wide obs gauge) report the accounted
 // decoded payload bytes; the map and LRU bookkeeping add a small
@@ -60,7 +77,7 @@ func newCache(budget int64) *cache {
 
 // CacheStats is a point-in-time snapshot of one DB's stripe cache.
 type CacheStats struct {
-	Hits      int64 // block reads served from the cache
+	Hits      int64 // block reads served from the cache, a list hint's included
 	Misses    int64 // block reads that went to disk
 	Evictions int64 // blocks dropped to respect the budget
 	// Resident is the accounted decoded bytes currently cached;
@@ -74,12 +91,16 @@ type CacheStats struct {
 // get returns the cached block for k, loading it via load on a miss.
 // load runs outside the cache lock, so concurrent misses on distinct
 // blocks overlap their disk reads; concurrent misses on the same block
-// may both load, and the loser adopts the winner's copy.
-func (c *cache) get(k ckey, load func() (val any, size int64, err error)) (any, error) {
+// may both load, and the loser adopts the winner's copy. hint is the
+// list hint of an entry stripe (nil for position pages): whenever the
+// returned block is resident, it is stored there. A block served
+// uncached is never hinted.
+func (c *cache) get(k ckey, hint *atomic.Pointer[block], load func() (val any, size int64, err error)) (any, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[k]; ok {
 		c.lru.MoveToFront(e.elem)
 		c.hits++
+		e.setHint()
 		c.mu.Unlock()
 		mCacheHits.Inc()
 		return e.val, nil
@@ -97,13 +118,15 @@ func (c *cache) get(k ckey, load func() (val any, size int64, err error)) (any, 
 	mCacheMisses.Inc()
 	if e, ok := c.entries[k]; ok { // lost a load race; adopt the resident copy
 		c.lru.MoveToFront(e.elem)
+		e.setHint()
 		return e.val, nil
 	}
 	if size <= c.budget {
 		for c.resident+size > c.budget {
 			c.evictOldestLocked()
 		}
-		e := &centry{key: k, val: val, size: size}
+		e := &centry{key: k, val: val, size: size, hint: hint}
+		e.setHint()
 		e.elem = c.lru.PushFront(e)
 		c.entries[k] = e
 		c.resident += size
@@ -115,6 +138,29 @@ func (c *cache) get(k ckey, load func() (val any, size int64, err error)) (any, 
 	return val, nil
 }
 
+// setHint points the entry's list hint at it; cache lock held.
+func (e *centry) setHint() {
+	if e.hint != nil {
+		e.hint.Store(e.val.(*block))
+	}
+}
+
+// clearHint unhints the entry if its list hint still points at it; cache
+// lock held.
+func (e *centry) clearHint() {
+	if e.hint != nil {
+		e.hint.CompareAndSwap(e.val.(*block), nil)
+	}
+}
+
+// addHits folds reads a list served from its hint into the tallies.
+func (c *cache) addHits(n int64) {
+	c.mu.Lock()
+	c.hits += n
+	c.mu.Unlock()
+	mCacheHits.Add(n)
+}
+
 // evictOldestLocked drops the least recently used block. Called with the
 // lock held and at least one resident block.
 func (c *cache) evictOldestLocked() {
@@ -123,6 +169,7 @@ func (c *cache) evictOldestLocked() {
 		return
 	}
 	e := back.Value.(*centry)
+	e.clearHint()
 	c.lru.Remove(back)
 	delete(c.entries, e.key)
 	c.resident -= e.size
@@ -141,11 +188,14 @@ func (c *cache) stats() CacheStats {
 	}
 }
 
-// drop releases every resident block (DB.Close), returning the obs
-// gauge's share.
+// drop releases every resident block (DB.Close), clearing the hints that
+// point at them and returning the obs gauge's share.
 func (c *cache) drop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for _, e := range c.entries {
+		e.clearHint()
+	}
 	freed := c.resident
 	c.entries = make(map[ckey]*centry)
 	c.lru.Init()

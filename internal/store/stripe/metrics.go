@@ -5,7 +5,9 @@ import "topk/internal/obs"
 // Metric handles of the stripe store, resolved once at package init like
 // the transport catalogue (internal/transport/metrics.go): a cache hit
 // costs one atomic add, and obs.Default.SetEnabled(false) reduces even
-// that to an atomic load. The families, also listed in doc.go:
+// that to an atomic load. Reads a list serves from its hint reach the
+// hits counter in one add per flush (see List), not one per read. The
+// families, also listed in doc.go:
 //
 //	topk_stripe_cache_hits_total       counter  block reads served from cache
 //	topk_stripe_cache_misses_total     counter  block reads that went to disk

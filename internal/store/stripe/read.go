@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"sync/atomic"
 
 	"topk/internal/list"
 )
@@ -257,8 +258,14 @@ func (db *DB) Database() (*list.Database, error) {
 	return list.NewReaderDatabase(rs...)
 }
 
-// CacheStats snapshots the stripe cache's tallies.
-func (db *DB) CacheStats() CacheStats { return db.cache.stats() }
+// CacheStats snapshots the stripe cache's tallies. Reads served from a
+// list hint are folded in first, so Hits is exact when read.
+func (db *DB) CacheStats() CacheStats {
+	for _, l := range db.lists {
+		l.flushHits()
+	}
+	return db.cache.stats()
+}
 
 // Close releases the cache and, when the DB was opened from a path, the
 // file descriptor. Lists handed out must not be used afterwards.
@@ -348,25 +355,25 @@ func (db *DB) loadPosPage(li, pi int) ([]int32, error) {
 	return out, nil
 }
 
-// entryStripe returns one entry stripe through the cache, panicking on
-// IO errors or corruption (see the package comment: reads after a
-// successful Open are fail-stop).
-func (db *DB) entryStripe(li, si int) []list.Entry {
-	v, err := db.cache.get(ckey{kind: kindEntries, list: int32(li), idx: int32(si)},
+// entryStripe returns one entry stripe of l through the cache, hinting
+// it to l when resident; it panics on IO errors or corruption (see the
+// package comment: reads after a successful Open are fail-stop).
+func (db *DB) entryStripe(l *List, si int) *block {
+	v, err := db.cache.get(ckey{kind: kindEntries, list: int32(l.idx), idx: int32(si)}, &l.hint,
 		func() (any, int64, error) {
-			ents, err := db.loadEntryStripe(li, si)
-			return ents, int64(len(ents)) * 16, err
+			ents, err := db.loadEntryStripe(l.idx, si)
+			return &block{idx: si, ents: ents}, int64(len(ents)) * 16, err
 		})
 	if err != nil {
 		panic(err)
 	}
-	return v.([]list.Entry)
+	return v.(*block)
 }
 
 // posPage returns one id→position page through the cache; fail-stop like
 // entryStripe.
 func (db *DB) posPage(li, pi int) []int32 {
-	v, err := db.cache.get(ckey{kind: kindPositions, list: int32(li), idx: int32(pi)},
+	v, err := db.cache.get(ckey{kind: kindPositions, list: int32(li), idx: int32(pi)}, nil,
 		func() (any, int64, error) {
 			ps, err := db.loadPosPage(li, pi)
 			return ps, int64(len(ps)) * 4, err
@@ -423,9 +430,17 @@ func (db *DB) Verify() error {
 // List is one disk-backed sorted list: the stripe store's list.Reader.
 // All methods are safe for concurrent use and panic on out-of-range
 // arguments, exactly like *list.List.
+//
+// hint is the last entry stripe the cache returned for this list while
+// resident; reads inside it skip the cache lock, map and LRU, so a scan
+// enters the cache once per stripe instead of once per entry. Only the
+// cache stores and clears it (see cache). hintHits counts the reads it
+// served since they were last folded into the cache's hit tally.
 type List struct {
-	db  *DB
-	idx int
+	db       *DB
+	idx      int
+	hint     atomic.Pointer[block]
+	hintHits atomic.Int64
 }
 
 var _ list.Reader = (*List)(nil)
@@ -440,8 +455,26 @@ func (l *List) At(p int) list.Entry {
 		panic(fmt.Sprintf("stripe: position %d out of range [1,%d]", p, l.db.ft.n))
 	}
 	si := (p - 1) / l.db.ft.stripeCap
-	ents := l.db.entryStripe(l.idx, si)
-	return ents[(p-1)-si*l.db.ft.stripeCap]
+	return l.stripe(si).ents[(p-1)-si*l.db.ft.stripeCap]
+}
+
+// stripe returns entry stripe si: from the hint when it covers si (a
+// cache hit all the same, counted per read), through the cache
+// otherwise.
+func (l *List) stripe(si int) *block {
+	if b := l.hint.Load(); b != nil && b.idx == si {
+		l.hintHits.Add(1)
+		return b
+	}
+	l.flushHits()
+	return l.db.entryStripe(l, si)
+}
+
+// flushHits folds the reads the hint served into the cache's tallies.
+func (l *List) flushHits() {
+	if n := l.hintHits.Swap(0); n > 0 {
+		l.db.cache.addHits(n)
+	}
 }
 
 // PositionOf returns the 1-based position of item d, loading (at most)
@@ -480,7 +513,7 @@ func (l *List) SeekScore(t float64) int {
 		// position. No data block touched.
 		return st.firstPos
 	}
-	ents := l.db.entryStripe(l.idx, si)
+	ents := l.stripe(si).ents
 	j := sort.Search(len(ents), func(i int) bool { return ents[i].Score < t })
 	return st.firstPos + j
 }

@@ -52,6 +52,20 @@
 // traffic is exported through internal/obs (hits, misses, evictions,
 // resident bytes) next to the transport catalogue.
 //
+// Each List keeps a hint: an atomic pointer to the last entry stripe the
+// cache returned for it. A read inside the hinted stripe takes no lock
+// and touches neither the map nor the LRU, so a sorted scan pays the
+// cache once per stripe instead of once per entry. The cache stores and
+// clears hints under its own lock, together with the admission or
+// eviction they follow: only an admitted block is hinted (a block served
+// uncached never is), and evicting a block or closing the DB clears any
+// hint pointing at it, so the budget stays a hard ceiling on what the
+// store keeps alive. A hinted read is still a cache hit, counted per
+// entry read: each list tallies its hinted reads and folds them into the
+// hit count whenever it re-enters the cache and whenever CacheStats is
+// read, so Hits is exact when read. LRU recency is set when a read
+// enters a stripe, not by every read inside it.
+//
 // Every block is CRC-checked and structurally validated as it is loaded
 // (in-stripe score order, fence agreement, item and position ranges), so
 // corruption surfaces at the first read that touches it. The Reader

@@ -707,6 +707,42 @@ func appendReceipt(dst []byte, rc Receipt) []byte {
 	return dst
 }
 
+// frameHeader is a frame's kind code and u32 payload length.
+const frameHeader = 5
+
+// encodedSize returns the length of resp's frame plus rc's receipt
+// frame: exact for the bulk responses (entry and score lists, batches,
+// updates), an upper bound for the fixed-size ones, so the owner sizes
+// its response buffer once instead of growing it entry by entry.
+func encodedSize(resp Response, rc Receipt) int {
+	return responseSize(resp) + frameHeader + 24 + 4*len(rc.Seen)
+}
+
+func responseSize(resp Response) int {
+	n := frameHeader
+	switch r := resp.(type) {
+	case TopKResp:
+		n += 4 + 12*len(r.Entries)
+	case AboveResp:
+		n += 4 + 12*len(r.Entries)
+	case FetchResp:
+		n += 4 + 8*len(r.Scores)
+	case UpdateResp:
+		n += 1 + 8 + 4
+		for _, q := range r.Crossings {
+			n += 4 + len(q)
+		}
+	case BatchResp:
+		n += 4
+		for _, inner := range r.Resps {
+			n += responseSize(inner)
+		}
+	default:
+		n += 1 + 8 + 12 // the largest fixed payload: a ProbeResp
+	}
+	return n
+}
+
 // decodeBody decodes a whole /rpc response body: the response frame and
 // the receipt frame behind it, nothing else.
 func decodeBody(b []byte) (Response, Receipt, error) {

@@ -140,6 +140,30 @@ func TestBodyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodedSize: the owner's up-front buffer size covers every body
+// shape, and is exact for the bulk responses whose size matters.
+func TestEncodedSize(t *testing.T) {
+	for _, resp := range codecResponses() {
+		for _, rc := range codecReceipts() {
+			enc, err := AppendResponseBinary(nil, resp)
+			if err != nil {
+				t.Fatalf("%#v: encode: %v", resp, err)
+			}
+			body, size := appendReceipt(enc, rc), encodedSize(resp, rc)
+			switch resp.(type) {
+			case TopKResp, AboveResp, FetchResp, UpdateResp:
+				if size != len(body) {
+					t.Errorf("%#v + %#v: encodedSize %d, body %d bytes", resp, rc, size, len(body))
+				}
+			default:
+				if size < len(body) {
+					t.Errorf("%#v + %#v: encodedSize %d below the body's %d bytes", resp, rc, size, len(body))
+				}
+			}
+		}
+	}
+}
+
 // TestBodyRejectsMalformed: a body missing its receipt, carrying a
 // second response where the receipt belongs, a torn receipt, or bytes
 // after the receipt must error.

@@ -166,6 +166,7 @@ func writeShed(w http.ResponseWriter, format string, args ...any) {
 // checksum (HeaderFrameCRC).
 func writeFrame(w http.ResponseWriter, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Header().Set(HeaderFrameCRC, strconv.FormatUint(uint64(crc32.ChecksumIEEE(body)), 16))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
@@ -483,6 +484,9 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	}
 	out := getBuf()
 	defer putBuf(out)
+	if need := encodedSize(resp, rc); cap(*out) < need {
+		*out = make([]byte, 0, need)
+	}
 	enc, err := AppendResponseBinary(*out, resp)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "transport: encode response: %v", err)
@@ -818,9 +822,16 @@ func transientErr(ctx context.Context, err error) bool {
 	return true
 }
 
+// maxPresize bounds how much of a response body attempt allocates up
+// front on the strength of its Content-Length; a longer body still
+// reads, growing the buffer as it goes.
+const maxPresize = 64 << 20
+
 // attempt performs one HTTP round-trip under the per-attempt timeout.
-// The returned status is 0 when no response arrived.
-func (t *HTTPClient) attempt(ctx context.Context, method, url string, body []byte, contentType string, decode func(io.Reader) error) (int, error) {
+// The returned status is 0 when no response arrived. decode receives the
+// whole 200 body, read once into a pooled buffer that is recycled when
+// decode returns: it must copy whatever it keeps.
+func (t *HTTPClient) attempt(ctx context.Context, method, url string, body []byte, contentType string, decode func(data []byte) error) (int, error) {
 	actx, cancel := context.WithTimeout(ctx, t.reqTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -855,24 +866,32 @@ func (t *HTTPClient) attempt(ctx context.Context, method, url string, body []byt
 	if decode == nil {
 		return resp.StatusCode, nil
 	}
+	buf := getBuf()
+	defer putBuf(buf)
+	if n := resp.ContentLength; n >= int64(cap(*buf)) && n < maxPresize {
+		// One spare byte lets the read that meets EOF land without
+		// growing the buffer.
+		*buf = make([]byte, 0, n+1)
+	}
+	data, rerr := appendAll(*buf, resp.Body)
+	*buf = data
 	// A data-plane response carries its frame checksum; verify before
 	// decoding so wire corruption surfaces as a typed, retryable error
 	// instead of silently mangled payloads or an opaque decode failure.
-	if crc := resp.Header.Get(HeaderFrameCRC); crc != "" {
-		buf := getBuf()
-		defer putBuf(buf)
-		data, rerr := appendAll(*buf, resp.Body)
-		*buf = data
-		if rerr != nil {
+	crc := resp.Header.Get(HeaderFrameCRC)
+	if rerr != nil {
+		if crc != "" {
 			return resp.StatusCode, fmt.Errorf("%w: read body: %v", errCorruptFrame, rerr)
 		}
+		return resp.StatusCode, fmt.Errorf("transport: read body: %w", rerr)
+	}
+	if crc != "" {
 		want, perr := strconv.ParseUint(crc, 16, 32)
 		if perr != nil || crc32.ChecksumIEEE(data) != uint32(want) {
 			return resp.StatusCode, fmt.Errorf("%w: frame checksum mismatch (%d bytes)", errCorruptFrame, len(data))
 		}
-		return resp.StatusCode, decode(bytes.NewReader(data))
 	}
-	return resp.StatusCode, decode(resp.Body)
+	return resp.StatusCode, decode(data)
 }
 
 // doReplica performs one control-plane exchange with a specific replica,
@@ -881,7 +900,7 @@ func (t *HTTPClient) attempt(ctx context.Context, method, url string, body []byt
 // owner shed (429) is honored as backpressure: the pause is waited out
 // without burning the retry budget, bounded by maxBackpressureWaits
 // and the caller's deadline. Errors carry list, replica and URL.
-func (t *HTTPClient) doReplica(ctx context.Context, r *replica, method, path string, body []byte, contentType string, decode func(io.Reader) error) error {
+func (t *HTTPClient) doReplica(ctx context.Context, r *replica, method, path string, body []byte, contentType string, decode func(data []byte) error) error {
 	var lastErr error
 	waits := 0
 	for a := 0; a <= t.retries; a++ {
@@ -919,7 +938,7 @@ func (t *HTTPClient) doReplica(ctx context.Context, r *replica, method, path str
 }
 
 // doJSON is the JSON control-plane exchange: marshal body, doReplica.
-func (t *HTTPClient) doJSON(ctx context.Context, r *replica, method, path string, body any, decode func(io.Reader) error) error {
+func (t *HTTPClient) doJSON(ctx context.Context, r *replica, method, path string, body any, decode func(data []byte) error) error {
 	var buf []byte
 	if body != nil {
 		var err error
@@ -989,8 +1008,8 @@ func shedPause(err error, bk backoff, waits int) (time.Duration, bool) {
 // single connection blip must not fail a flat single-replica dial.
 func (t *HTTPClient) replicaInfo(ctx context.Context, r *replica) (OwnerStats, error) {
 	var st OwnerStats
-	err := t.doReplica(ctx, r, http.MethodGet, "/stats", nil, "", func(body io.Reader) error {
-		return json.NewDecoder(body).Decode(&st)
+	err := t.doReplica(ctx, r, http.MethodGet, "/stats", nil, "", func(data []byte) error {
+		return json.Unmarshal(data, &st)
 	})
 	if err != nil {
 		return OwnerStats{}, err
@@ -1128,11 +1147,7 @@ func (t *HTTPClient) updateReplica(ctx context.Context, r *replica, req UpdateRe
 		return UpdateResp{}, fmt.Errorf("transport: owner %d: encode update: %w", r.list, err)
 	}
 	var out UpdateResp
-	derr := t.doReplica(ctx, r, http.MethodPost, "/rpc/"+string(KindUpdate)+"?sid="+liveSID, body, ContentTypeBinary, func(rd io.Reader) error {
-		data, rerr := io.ReadAll(rd)
-		if rerr != nil {
-			return fmt.Errorf("%w: read body: %v", errCorruptFrame, rerr)
-		}
+	derr := t.doReplica(ctx, r, http.MethodPost, "/rpc/"+string(KindUpdate)+"?sid="+liveSID, body, ContentTypeBinary, func(data []byte) error {
 		resp, _, derr := decodeBody(data)
 		if derr != nil {
 			return fmt.Errorf("%w: decode: %v", errCorruptFrame, derr)
@@ -1451,8 +1466,8 @@ func (s *httpSession) promoteMirror(ctx context.Context, li int) {
 	bctx, cancel := context.WithTimeout(ctx, s.controlBound())
 	defer cancel()
 	var st syncBody
-	err := s.t.doJSON(bctx, pin, http.MethodGet, "/session/state?sid="+s.sid, nil, func(body io.Reader) error {
-		return json.NewDecoder(body).Decode(&st)
+	err := s.t.doJSON(bctx, pin, http.MethodGet, "/session/state?sid="+s.sid, nil, func(data []byte) error {
+		return json.Unmarshal(data, &st)
 	})
 	if err != nil {
 		return
@@ -1532,14 +1547,7 @@ func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, bod
 	var out Response
 	var rc Receipt
 	respBytes := 0
-	status, err := s.t.attempt(ctx, http.MethodPost, r.url+s.rpcPath(kind), body, ContentTypeBinary, func(rd io.Reader) error {
-		dec := getBuf()
-		defer putBuf(dec)
-		data, rerr := appendAll(*dec, rd)
-		*dec = data
-		if rerr != nil {
-			return fmt.Errorf("%w: read body: %v", errCorruptFrame, rerr)
-		}
+	status, err := s.t.attempt(ctx, http.MethodPost, r.url+s.rpcPath(kind), body, ContentTypeBinary, func(data []byte) error {
 		respBytes = len(data)
 		var derr error
 		if out, rc, derr = decodeBody(data); derr != nil {
@@ -1848,8 +1856,8 @@ func (s *httpSession) Stats(ctx context.Context, owner int) (OwnerStats, error) 
 	tried := make([]bool, len(s.t.lists[owner]))
 	for r := s.t.route(owner, s.routable(owner), tried); r != nil; r = s.t.route(owner, s.routable(owner), tried) {
 		var st OwnerStats
-		err := s.t.doJSON(ctx, r, http.MethodGet, "/stats?sid="+s.sid, nil, func(body io.Reader) error {
-			return json.NewDecoder(body).Decode(&st)
+		err := s.t.doJSON(ctx, r, http.MethodGet, "/stats?sid="+s.sid, nil, func(data []byte) error {
+			return json.Unmarshal(data, &st)
 		})
 		if err == nil {
 			ls := &s.state[owner]
