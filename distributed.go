@@ -118,8 +118,8 @@ type RecoveryStats struct {
 	// Restarts counts full protocol reruns the restart policy spent
 	// before the query completed (see ClusterConfig.Restart).
 	Restarts int
-	// Handoffs counts pinned-session promotions to a synced sibling
-	// replica performed mid-protocol after a pinned replica died.
+	// Handoffs counts pinned sessions handed off to a sibling replica
+	// mid-protocol after a pinned replica died.
 	Handoffs int
 	// FailedReplicas counts distinct replicas that failed during the
 	// query, including replicas that failed attempts a restart
@@ -168,7 +168,7 @@ type TraceSpan struct {
 	// Attempts counts wire attempts spent (1 plus retries).
 	Attempts int `json:"attempts"`
 	// FailedOver reports that a different replica than first targeted
-	// answered; Handoff that the session re-pinned to a mirror during
+	// answered; Handoff that the session re-pinned to a sibling during
 	// the exchange.
 	FailedOver bool `json:"failed_over,omitempty"`
 	Handoff    bool `json:"handoff,omitempty"`
@@ -263,10 +263,10 @@ func distStatsOf(res *dist.Result) DistStats {
 // traffic the transport could not recover in place: BPA2's probes,
 // TPUT's phase-2 scans and the other sessionful exchanges live on the
 // cursors of exactly one pinned replica. Normally a pinned replica's
-// death is absorbed by the session handoff — the session re-pins to a
-// sibling that mirrors its state — so this error surfaces only when no
-// synced sibling exists: a flat (unreplicated) list, or every sibling
-// already failed (including a sibling that dropped out of sync). The
+// death is absorbed by the session handoff — the client sends a sibling
+// the session's state and re-pins there — so this error surfaces only
+// when no sibling takes the session: a flat (unreplicated) list, or
+// every sibling already failed or refused the handoff. The
 // error names the list and replica; rerunning the query opens a fresh
 // session pinned to a live replica — ClusterConfig.Restart (or
 // WithRestart) does that rerun automatically. Stateless traffic (TA/BPA
@@ -653,8 +653,8 @@ type ClusterConfig struct {
 	// no reruns. Override per query with WithMaxRestarts.
 	MaxRestarts int
 	// Logger receives the cluster client's structured recovery log:
-	// replica health transitions, mirror promotions and session
-	// handoffs, at slog.LevelInfo and below. nil discards them.
+	// replica health transitions and session handoffs, at
+	// slog.LevelInfo and below. nil discards them.
 	Logger *slog.Logger
 }
 
@@ -670,10 +670,11 @@ type ClusterConfig struct {
 // When a list has several replicas, session opens fan out to all of
 // them, stateless traffic is routed by the configured policy and fails
 // over mid-query when a replica dies, and cursor-bearing traffic is
-// pinned per session with its state deltas mirrored to a sibling — a
-// pinned replica's death hands the session off to the synced sibling
-// and the query completes. Only when no synced sibling remains does the
-// death surface as *OwnerFailedError, and ClusterConfig.Restart can
+// pinned per session while the client keeps a copy of the session's
+// state from the exchange receipts — a pinned replica's death hands the
+// session off to a sibling brought up to that state, and the query
+// completes. Only when no sibling takes the session does the death
+// surface as *OwnerFailedError, and ClusterConfig.Restart can
 // absorb even that by rerunning the query on the survivors. Answers and
 // primary accounting (Stats.Net) stay bit-identical to a single-owner
 // run in every case; Stats.Recovery records what failed underneath.

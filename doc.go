@@ -203,36 +203,36 @@
 //	sorted, lookup, fetch          none              fails over to a sibling;
 //	  (TA, BPA, TPUT phase 1+3)                      query completes, answers
 //	                                                 and accounting unchanged
-//	mark, topk (replayable but     tracker, depth    session handoff: the pin's
-//	  cursor-bearing)                                mirrored state resumes on a
-//	                                                 sibling, the exchange is
+//	mark, topk (replayable but     tracker, depth    session handoff: a sibling
+//	  cursor-bearing)                                is sent the session's
+//	                                                 state and the exchange is
 //	                                                 re-sent there
 //	probe, above (non-replayable)  tracker, depth    session handoff; safe even
 //	  (BPA2, TPUT phase 2)                           without replayability — the
-//	                                                 mirror is only ever behind
-//	                                                 by the failed exchange
+//	                                                 shipped state lacks only
+//	                                                 the failed exchange
 //
-// With no synced sibling left to hand off to, sessionful
-// failures surface as *OwnerFailedError naming the list and replica,
-// and the restart policy decides whether the query is transparently
-// rerun on the survivors.
+// When no sibling accepts the handoff, sessionful failures surface as
+// *OwnerFailedError naming the list and replica, and the restart policy
+// decides whether the query is transparently rerun on the survivors.
 //
 // # Recovery: session handoff and automatic restart
 //
 // Two mechanisms together make replica death invisible to callers —
 // zero failed queries as long as each list keeps one live replica.
 //
-// Session handoff (owner side, always on): after every successful
-// sessionful exchange the client synchronously mirrors the state delta
-// its receipt reports — positions newly seen, scan depth — to one
-// sibling replica of that list, over uncharged control-plane endpoints (POST /session/sync,
-// GET /session/state). The mirror is therefore always exactly the pin's
-// state as of the last exchange that succeeded. If the pin dies, the
-// session re-pins to the mirror and resumes; because the failed exchange
-// was never applied-and-acknowledged anywhere the client kept, no cursor
-// advances twice and no list entry is skipped, even for the
-// non-replayable probe/above traffic. A fresh mirror is then promoted
-// from the remaining siblings by copying the new pin's full state.
+// Session handoff (always on): every exchange's receipt reports what it
+// did to the session — positions newly seen, scan depth — and for each
+// list with a sibling replica the client merges those receipts into its
+// own copy of the session state. The copy is therefore exactly the
+// pin's state as of the last exchange acknowledged to the client, and
+// while the pin lives no other replica is contacted. If the pin dies,
+// the client ships the copy to a sibling that holds the session, in one
+// uncharged control-plane POST /session/sync, re-pins there and
+// resumes; a sibling that refuses the sync is passed over for the next.
+// Because the failed exchange was never applied-and-acknowledged
+// anywhere the client kept, no cursor advances twice and no list entry
+// is skipped, even for the non-replayable probe/above traffic.
 //
 // Query restart (originator side, opt-in): ClusterConfig.Restart — or
 // per-query WithRestart — reruns a query that still failed (for
@@ -374,7 +374,7 @@
 //	topk_owner_sessions_open / _opened_total / _closed_total / _evicted_total / _session_syncs_total
 //	topk_client_exchanges_total{kind} / _exchange_seconds{kind} / _exchange_errors_total{kind}
 //	topk_client_wire_bytes_total{codec,direction} / _exchange_bytes  (codec is always "binary")
-//	topk_client_retries_total / _failovers_total / _handoffs_total / _mirror_promotions_total
+//	topk_client_retries_total / _failovers_total / _handoffs_total
 //	topk_client_replica_failures_total / _health_transitions_total{to}
 //	topk_client_replica_healthy{list,replica} / _probe_ewma_seconds{list,replica}
 //	topk_client_sessions_open / _opened_total
@@ -407,7 +407,7 @@
 //	   ...
 //
 // Both daemons log lifecycle events (session open/close/evict, health
-// transitions, handoff promotions) via log/slog behind -log-level
+// transitions, session handoffs) via log/slog behind -log-level
 // (debug, info, warn, error, off); -pprof addr serves the standard
 // net/http/pprof mux on a separate listener for CPU and heap profiles
 // under load.

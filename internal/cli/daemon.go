@@ -19,8 +19,8 @@ import (
 // newDaemonLogger builds the daemons' structured logger from the
 // -log-level flag: a text handler writing to w at the given level, or
 // a discard logger for "off". The daemons log recovery-relevant events
-// — session open/close/evict, replica health transitions, mirror
-// promotions and handoffs — with session/list/replica attributes.
+// — session open/close/evict, replica health transitions and session
+// handoffs — with session/list/replica attributes.
 func newDaemonLogger(level string, w io.Writer) (*slog.Logger, error) {
 	var l slog.Level
 	switch strings.ToLower(strings.TrimSpace(level)) {

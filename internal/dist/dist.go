@@ -180,7 +180,7 @@ type Recovery struct {
 	// Restarts counts full protocol reruns the restart policy spent
 	// before the run completed.
 	Restarts int
-	// Handoffs counts pin-to-mirror session promotions inside the
+	// Handoffs counts pin-to-sibling session handoffs inside the
 	// completing run.
 	Handoffs int
 	// FailedReplicas counts distinct replicas that failed mid-run,

@@ -548,9 +548,9 @@ func TestReplicatedTopologyParity(t *testing.T) {
 // Messages, Payload, Rounds and access counts bit-identical to the
 // healthy run. Stateless traffic (TA, BPA — sorted reads and lookups)
 // fails over; cursor-bearing traffic (BPA2 probes, TPUT/TPUTA
-// above-scans) hands the session off to the mirror replica the
-// transport kept synced. Result.Recovery is the only place the kill
-// shows up. Either way: no hangs, no goroutine leaks.
+// above-scans) hands the session off to the sibling replica, which the
+// client brings up to the session's state. Result.Recovery is the only
+// place the kill shows up. Either way: no hangs, no goroutine leaks.
 func TestKillOwnerMidQuery(t *testing.T) {
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 300, M: 4, Seed: 3})
 	lb, err := transport.NewLoopback(db)
@@ -571,10 +571,10 @@ func TestKillOwnerMidQuery(t *testing.T) {
 		{"dist-ta", TAOver, 3, 0},
 		{"dist-bpa", BPAOver, 3, 0},
 		// BPA2 pins its probe cursor to the replica that dies: the session
-		// hands off to the synced mirror and resumes mid-protocol.
+		// hands off to the sibling and resumes mid-protocol.
 		{"dist-bpa2", BPA2Over, 2, 1},
 		// TPUT family, killed during phase 2: the above-scan's depth
-		// cursor moves to the mirror, which resumes at the synced depth.
+		// cursor moves to the sibling, which resumes at the shipped depth.
 		{"tput-above", TPUTOver, 1, 1},
 		{"tput-a-above", TPUTAOver, 1, 1},
 		// TPUT killed after phase 2: only the stateless phase-3 fetch is

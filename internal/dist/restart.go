@@ -20,8 +20,8 @@ var mDistRestarts = obs.GetCounter("topk_dist_restarts_total", "Query reruns spe
 // place without losing protocol state; restart is the coarser fallback
 // that throws the partial run away and starts over. A stateless
 // protocol (TA, BPA — replayable exchanges only) rarely needs either;
-// a sessionful protocol whose pinned replica died with no synced
-// mirror needs restart to complete.
+// a sessionful protocol whose pinned replica died with no sibling to
+// take the session needs restart to complete.
 type RestartPolicy uint8
 
 const (

@@ -10,7 +10,7 @@ import (
 )
 
 // ownerErr fabricates the typed replica failure the transport surfaces
-// when a pinned replica dies with no synced mirror.
+// when a pinned replica dies and no sibling takes the session.
 func ownerErr() error {
 	return fmt.Errorf("wrapped: %w", &transport.OwnerFailedError{List: 1, Replica: 0, URL: "u", Err: errors.New("boom")})
 }

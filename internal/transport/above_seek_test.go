@@ -186,20 +186,27 @@ func TestReceiptsSumToSessionStats(t *testing.T) {
 					t.Errorf("receipts sum to %v depth %d best %d; want %v depth %d best %d",
 						sum, last.Depth, last.Best, c.want, c.depth, c.best)
 				}
-				ranges, _, err := o.SessionState(sid)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tracked := make([]bool, n+1)
-				for _, rg := range ranges {
-					for p := rg[0]; p <= rg[1]; p++ {
-						tracked[p] = true
-					}
-				}
-				if !reflect.DeepEqual(seen, tracked) {
+				if tracked := trackedSeen(t, o, sid); !reflect.DeepEqual(seen, tracked) {
 					t.Errorf("receipts marked %v seen; tracker holds %v", seen, tracked)
 				}
 			})
 		}
 	}
+}
+
+// trackedSeen reads which positions a session's tracker holds seen,
+// indexed 1..n.
+func trackedSeen(t *testing.T, o *Owner, sid string) []bool {
+	t.Helper()
+	s, err := o.session(sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]bool, o.n+1)
+	for p := 1; p <= o.n; p++ {
+		out[p] = s.tr.Seen(p)
+	}
+	return out
 }

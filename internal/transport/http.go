@@ -32,12 +32,9 @@ import (
 //	POST /session/open   control-plane: install fresh per-session state
 //	                     {sid, tracker}; idempotent per sid
 //	POST /session/close  control-plane: release a session's state {sid}
-//	POST /session/sync   control-plane: apply a session-state delta
-//	                     mirrored from a sibling replica {sid, positions,
-//	                     ranges, depth}; idempotent, never charged
-//	GET  /session/state?sid=...  control-plane: export a session's
-//	                     replicable state (seen-position ranges + scan
-//	                     depth) for mirror promotion
+//	POST /session/sync   control-plane: bring a sibling replica up to a
+//	                     session's state at handoff {sid, ranges, depth};
+//	                     idempotent, never charged
 //	POST /rpc/{kind}?sid=...  one exchange; the body is a request frame
 //	                     of the binary wire codec (kind "batch" carries
 //	                     a coalesced round for this owner), a 200
@@ -69,9 +66,11 @@ import (
 // list may be served by several replica owner processes (topology.go).
 // Stateless exchanges are routed per-call by the configured
 // RoutingPolicy and fail over between replicas mid-query; sessionful
-// exchanges pin each session to one replica per list, mirror its state
-// to a sibling, and hand the session off to that sibling when the pin
-// dies — OwnerFailedError surfaces only when no synced sibling is left.
+// exchanges pin each session to one replica per list, and the session
+// keeps its own copy of each replicated list's state from the receipts.
+// When the pin dies the copy is shipped to a sibling in one
+// /session/sync and the session resumes there — OwnerFailedError
+// surfaces only when no sibling accepts it.
 
 // Server is one list owner behind HTTP. Wrap Handler in an http.Server
 // (or httptest.Server); cmd/topk-owner is the standalone binary.
@@ -91,7 +90,6 @@ func NewServer(db *list.Database, index int) (*Server, error) {
 	s.mux.HandleFunc("/session/open", s.handleOpen)
 	s.mux.HandleFunc("/session/close", s.handleClose)
 	s.mux.HandleFunc("/session/sync", s.handleSync)
-	s.mux.HandleFunc("/session/state", s.handleState)
 	s.mux.HandleFunc("/filter/set", s.handleFilterSet)
 	s.mux.HandleFunc("/filter/clear", s.handleFilterClear)
 	s.mux.HandleFunc("/stats", s.handleStats)
@@ -136,8 +134,9 @@ const HeaderFrameCRC = "X-Topk-Frame-Crc"
 // errCorruptFrame classifies a response whose body failed its checksum
 // (or could not be read or decoded at all): the exchange reached the
 // owner but its answer was damaged in flight. Transient — replayable
-// requests re-send, non-replayable sessionful ones hand off to the
-// mirror whose state excludes the damaged exchange.
+// requests re-send, non-replayable sessionful ones hand off to a
+// sibling brought up to the session's acknowledged state, which
+// excludes the damaged exchange.
 var errCorruptFrame = errors.New("transport: corrupt response frame")
 
 // httpError is the uniform error payload.
@@ -267,19 +266,17 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// syncBody is the /session/sync request payload and the /session/state
-// response: the replicable state of one (session, list) pair. Per-
-// exchange deltas travel as single Positions; a full-state promotion
-// ships the compressed seen-position Ranges ([lo,hi] inclusive). Depth
-// is the scan cursor, merged monotonically.
+// syncBody is the /session/sync request payload: the replicable state
+// of one (session, list) pair as the originator holds it, the seen
+// positions compressed into Ranges ([lo,hi] inclusive) plus the scan
+// Depth.
 type syncBody struct {
-	SID       string   `json:"sid"`
-	Positions []int    `json:"positions,omitempty"`
-	Ranges    [][2]int `json:"ranges,omitempty"`
-	Depth     int      `json:"depth,omitempty"`
+	SID    string   `json:"sid"`
+	Ranges [][2]int `json:"ranges,omitempty"`
+	Depth  int      `json:"depth,omitempty"`
 }
 
-// handleSync applies a mirrored session-state delta (see Owner.SyncSession).
+// handleSync applies a handoff state transfer (see Owner.SyncSession).
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
@@ -294,31 +291,11 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty session ID")
 		return
 	}
-	if err := s.owner.SyncSession(body.SID, body.Positions, body.Ranges, body.Depth); err != nil {
+	if err := s.owner.SyncSession(body.SID, body.Ranges, body.Depth); err != nil {
 		writeError(w, statusFor(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleState exports a session's replicable state for mirror promotion
-// (see Owner.SessionState).
-func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
-	sid := r.URL.Query().Get("sid")
-	if sid == "" {
-		writeError(w, http.StatusBadRequest, "missing sid parameter")
-		return
-	}
-	ranges, depth, err := s.owner.SessionState(sid)
-	if err != nil {
-		writeError(w, statusFor(err), "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, syncBody{SID: sid, Ranges: ranges, Depth: depth})
 }
 
 // filterBody is the /filter/set and /filter/clear request payload: one
@@ -541,8 +518,7 @@ type DialConfig struct {
 	// DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
 	// Logger receives the client's structured recovery narration:
-	// replica health transitions, session handoffs, mirror promotions.
-	// nil discards it.
+	// replica health transitions and session handoffs. nil discards it.
 	Logger *slog.Logger
 }
 
@@ -581,8 +557,8 @@ type HTTPClient struct {
 	proberDone  chan struct{}
 	closeOnce   sync.Once
 
-	// log narrates recovery events (health transitions, handoffs,
-	// promotions). Never nil; set once at dial.
+	// log narrates recovery events (health transitions, handoffs).
+	// Never nil; set once at dial.
 	log *slog.Logger
 }
 
@@ -591,12 +567,15 @@ type HTTPClient struct {
 // connections per host, so a fleet of concurrent originators hammering
 // the same few owners would re-handshake TCP on nearly every exchange;
 // the tuned pool keeps one warm connection per in-flight originator.
+// A connection idle for a second is released: a busy originator
+// addresses each owner far more often than that, and an idle one holds
+// no sockets or goroutines at the owners.
 func defaultHTTPClient() *http.Client {
 	return &http.Client{Transport: &http.Transport{
 		Proxy:               http.ProxyFromEnvironment,
 		MaxIdleConns:        256,
 		MaxIdleConnsPerHost: 64,
-		IdleConnTimeout:     90 * time.Second,
+		IdleConnTimeout:     time.Second,
 	}}
 }
 
@@ -827,6 +806,11 @@ func transientErr(ctx context.Context, err error) bool {
 // reads, growing the buffer as it goes.
 const maxPresize = 64 << 20
 
+// maxDrain bounds the unread remainder attempt drains before closing a
+// response body: control-plane acknowledgements and error payloads are
+// tiny, and a longer remainder is cheaper to drop with its connection.
+const maxDrain = 64 << 10
+
 // attempt performs one HTTP round-trip under the per-attempt timeout.
 // The returned status is 0 when no response arrived. decode receives the
 // whole 200 body, read once into a pooled buffer that is recycled when
@@ -859,7 +843,13 @@ func (t *HTTPClient) attempt(ctx context.Context, method, url string, body []byt
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// net/http reuses a keep-alive connection only once its body was
+		// read to EOF; closing it unread closes the connection, so the
+		// next call to this owner would dial a new one.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrain))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != http.StatusOK {
 		return resp.StatusCode, remoteError(resp)
 	}
@@ -1036,15 +1026,7 @@ type sessionListState struct {
 	// pin is the replica serving this session's sessionful exchanges,
 	// chosen by policy at first use; nil until then.
 	pin *replica
-	// mirror is the sibling replica kept in sync with the pin's session
-	// state, promoted to pin when the pin dies mid-query. Invariant: a
-	// non-nil mirror's state equals the pin's state as of the last
-	// successful sessionful exchange (chosen while both were fresh, then
-	// synced after every exchange), so promoting it never replays a
-	// cursor advance. nil when the list has no sibling, or the last sync
-	// failed and no replacement could be promoted.
-	mirror *replica
-	// failed[ri] records replicas that failed an exchange (or a mirror
+	// failed[ri] records replicas that failed an exchange (or a handoff
 	// sync) of this session — the session's recovery bookkeeping.
 	failed []bool
 	// charged, depth and best merge the receipts of the session's
@@ -1053,10 +1035,17 @@ type sessionListState struct {
 	// lost response counts once; depth and best take the maximum. The
 	// maximum is the pin's current state, because every replica's copy
 	// of the session is a subset of the pin's — state reaches other
-	// replicas only by syncs from the pin, and a failed pin is dropped
-	// for good.
+	// replicas only by a handoff sync of this copy, and a failed pin is
+	// dropped for good.
+	//
+	// seen is the rest of the copy: a bitset over positions 1..n (bit p
+	// for position p) of every position the acknowledged exchanges
+	// marked seen. Together with depth it is exactly the state a sibling
+	// needs to take the session over, so it is kept only when the list
+	// has one, allocated at the first receipt that marks a position.
 	charged     access.Counts
 	depth, best int
+	seen        []uint64
 }
 
 // openTimeout caps each replica's /session/open attempt budget. The
@@ -1273,7 +1262,7 @@ type httpSession struct {
 
 	state []sessionListState
 
-	// handoffs counts pin-to-mirror promotions across all lists;
+	// handoffs counts pin-to-sibling handoffs across all lists;
 	// backpressure counts owner sheds (429) this session waited out.
 	handoffs     atomic.Int64
 	backpressure atomic.Int64
@@ -1325,26 +1314,18 @@ func (s *httpSession) dropOpen(li, ri int) {
 }
 
 // pinned returns the replica this session's sessionful traffic for list
-// li sticks to, choosing it by policy on first use — and a mirror
-// sibling alongside it, when the list has one. Both start from
-// identical fresh session state, so the mirror is synced by
-// construction until the first sessionful exchange lands a delta.
+// li sticks to, choosing it by policy on first use.
 func (s *httpSession) pinned(li int) *replica {
 	ls := &s.state[li]
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if ls.pin == nil {
 		ls.pin = s.t.route(li, ls.open, nil)
-		if ls.pin != nil {
-			tried := make([]bool, len(s.t.lists[li]))
-			tried[ls.pin.index] = true
-			ls.mirror = s.t.route(li, ls.open, tried)
-		}
 	}
 	return ls.pin
 }
 
-// noteFailed records a replica failing an exchange (or mirror sync) of
+// noteFailed records a replica failing an exchange (or handoff sync) of
 // this session, for the session's recovery bookkeeping.
 func (s *httpSession) noteFailed(li, ri int) {
 	ls := &s.state[li]
@@ -1357,7 +1338,7 @@ func (s *httpSession) noteFailed(li, ri int) {
 }
 
 // SessionRecovery reports the failures one session absorbed: how many
-// pin-to-mirror handoffs it performed, how many distinct replicas
+// pin-to-sibling handoffs it performed, how many distinct replicas
 // failed an exchange mid-query, and how many owner sheds it waited out
 // as backpressure. The dist runner harvests it into Result.Recovery;
 // primary accounting is untouched by any of them.
@@ -1383,10 +1364,10 @@ func (s *httpSession) Recovery() SessionRecovery {
 	return rec
 }
 
-// controlBound caps a recovery control-plane call (sync, state export)
-// the way openTimeout caps the open fan-out: these calls exist to keep
-// a sibling promotable, so a black-holed sibling must cost a bounded
-// slice of the query, not a full data-plane timeout per exchange.
+// controlBound caps the handoff sync the way openTimeout caps the open
+// fan-out: a black-holed sibling must cost a bounded slice of the
+// query, not a full data-plane timeout times the retry budget, before
+// the next sibling is tried.
 func (s *httpSession) controlBound() time.Duration {
 	if s.t.reqTimeout < openTimeout {
 		return s.t.reqTimeout
@@ -1394,147 +1375,99 @@ func (s *httpSession) controlBound() time.Duration {
 	return openTimeout
 }
 
-// syncMirror forwards the session-state delta of one successful
-// sessionful exchange — its receipt's seen positions and depth — to the
-// list's mirror replica, synchronously: the mirror invariant (state
-// equals the pin's as of the last successful exchange) is what makes a
-// later handoff replay-safe, so the delta cannot be deferred. Marks are
-// idempotent and the depth merge monotonic, so a delta the mirror
-// already holds converges. A mirror that fails the sync is dropped (it
-// may be stale now) and a replacement is promoted from the pin's full
-// state, best-effort.
-func (s *httpSession) syncMirror(ctx context.Context, li int, rc Receipt) {
-	ls := &s.state[li]
-	ls.mu.Lock()
-	m := ls.mirror
-	ls.mu.Unlock()
-	if m == nil {
-		return
-	}
-	body := syncBody{SID: s.sid, Positions: rc.Seen, Depth: rc.Depth}
-	sctx, cancel := context.WithTimeout(ctx, s.controlBound())
-	err := s.t.doJSON(sctx, m, http.MethodPost, "/session/sync", body, nil)
-	cancel()
-	if err == nil {
-		return
-	}
-	// The mirror missed a delta: it is no longer promotable. A 404 means
-	// it restarted and lost the session outright — drop it from routing
-	// too. Demote its health so the promotion below does not immediately
-	// re-pick the replica that just failed; the prober revives it. Then
-	// try to promote a replacement from the pin's full state.
-	s.noteFailed(li, m.index)
-	m.noteFailure()
-	s.t.noteHealth(m, false)
-	s.t.tripFailure(m)
-	s.t.log.Warn("mirror lost sync", "sid", s.sid, "list", li, "replica", m.index, "url", m.url, "err", err)
-	var re *RemoteError
-	if errors.As(err, &re) && re.Status == http.StatusNotFound {
-		s.dropOpen(li, m.index)
-	}
-	ls.mu.Lock()
-	if ls.mirror == m {
-		ls.mirror = nil
-	}
-	ls.mu.Unlock()
-	s.promoteMirror(ctx, li)
-}
-
-// promoteMirror installs a fresh synced mirror for list li: it picks a
-// routable sibling of the pin, copies the pin's full session state onto
-// it (seen-position ranges + depth), and installs it only when the copy
-// succeeded — preserving the invariant that a non-nil mirror is always
-// promotable. Best-effort: with no sibling left, or a failed copy, the
-// session continues unmirrored and the pin's death surfaces the typed
-// owner failure.
-func (s *httpSession) promoteMirror(ctx context.Context, li int) {
-	ls := &s.state[li]
-	ls.mu.Lock()
-	pin := ls.pin
-	hasMirror := ls.mirror != nil
-	open := append([]bool(nil), ls.open...)
-	ls.mu.Unlock()
-	if pin == nil || hasMirror {
-		return
-	}
-	tried := make([]bool, len(s.t.lists[li]))
-	tried[pin.index] = true
-	cand := s.t.route(li, open, tried)
-	if cand == nil || cand == pin {
-		return
-	}
-	bctx, cancel := context.WithTimeout(ctx, s.controlBound())
-	defer cancel()
-	var st syncBody
-	err := s.t.doJSON(bctx, pin, http.MethodGet, "/session/state?sid="+s.sid, nil, func(data []byte) error {
-		return json.Unmarshal(data, &st)
-	})
-	if err != nil {
-		return
-	}
-	if err := s.t.doJSON(bctx, cand, http.MethodPost, "/session/sync",
-		syncBody{SID: s.sid, Ranges: st.Ranges, Depth: st.Depth}, nil); err != nil {
-		s.noteFailed(li, cand.index)
-		cand.noteFailure()
-		s.t.noteHealth(cand, false)
-		s.t.tripFailure(cand)
-		return
-	}
-	ls.mu.Lock()
-	installed := false
-	if ls.mirror == nil && ls.pin == pin && ls.open[cand.index] {
-		ls.mirror = cand
-		installed = true
-	}
-	ls.mu.Unlock()
-	if installed {
-		mClientPromotions.Inc()
-		s.t.log.Info("mirror promoted", "sid", s.sid, "list", li, "replica", cand.index, "url", cand.url)
-	}
-}
-
-// handoff re-pins the session for list li to its synced mirror after
-// the pinned replica failed, returning the new pin — or nil when no
-// synced mirror exists, in which case the caller surfaces the typed
+// handoff re-pins the session for list li to a sibling after the pinned
+// replica failed, returning the new pin — or nil when no sibling takes
+// the session, in which case the caller surfaces the typed
 // OwnerFailedError. The failed replica is dropped from this session's
 // routing for good (its session state is stale or gone; were it to
-// serve a later exchange, cursors could advance twice). Because every
-// handoff permanently drops a replica, handoffs per list are bounded by
-// the replica set. A fresh mirror is then promoted from the new pin's
-// state, best-effort, so the session survives further deaths.
+// serve a later exchange, cursors could advance twice). Each routable
+// sibling in policy order is sent the session's own copy of the list's
+// state in one /session/sync; the first that accepts becomes the pin. A
+// sibling that refuses is marked failed and the next is tried. Because
+// every handoff permanently drops a replica, handoffs per list are
+// bounded by the replica set.
 func (s *httpSession) handoff(ctx context.Context, li int, failed *replica) *replica {
 	ls := &s.state[li]
 	ls.mu.Lock()
 	ls.open[failed.index] = false
-	next := ls.mirror
-	ls.mirror = nil
-	if next != nil && !ls.open[next.index] {
-		next = nil
-	}
-	if next != nil {
-		ls.pin = next
-	}
+	body := syncBody{SID: s.sid, Ranges: seenRanges(ls.seen, s.t.n), Depth: ls.depth}
 	ls.mu.Unlock()
-	if next == nil {
-		return nil
+	tried := make([]bool, len(s.t.lists[li]))
+	for {
+		next := s.t.route(li, s.routable(li), tried)
+		if next == nil || ctx.Err() != nil {
+			return nil
+		}
+		tried[next.index] = true
+		sctx, cancel := context.WithTimeout(ctx, s.controlBound())
+		err := s.t.doJSON(sctx, next, http.MethodPost, "/session/sync", body, nil)
+		cancel()
+		if err != nil {
+			// Demote the sibling so routing prefers the others; a 404 means
+			// it restarted and lost the session outright, so it leaves the
+			// session's routing too.
+			s.noteFailed(li, next.index)
+			next.noteFailure()
+			s.t.noteHealth(next, false)
+			s.t.tripFailure(next)
+			s.t.log.Warn("handoff sync refused", "sid", s.sid, "list", li, "replica", next.index, "url", next.url, "err", err)
+			var re *RemoteError
+			if errors.As(err, &re) && re.Status == http.StatusNotFound {
+				s.dropOpen(li, next.index)
+			}
+			continue
+		}
+		ls.mu.Lock()
+		ls.pin = next
+		ls.mu.Unlock()
+		s.handoffs.Add(1)
+		mClientHandoffs.Inc()
+		s.t.log.Info("session handoff", "sid", s.sid, "list", li, "from", failed.url, "to", next.url)
+		return next
 	}
-	s.handoffs.Add(1)
-	mClientHandoffs.Inc()
-	s.t.log.Info("session handoff", "sid", s.sid, "list", li,
-		"from", failed.url, "to", next.url)
-	s.promoteMirror(ctx, li)
-	return next
 }
 
 // acknowledge merges the receipt of an acknowledged exchange into the
-// session's per-list accounting (see sessionListState).
+// session's per-list accounting and, for a list with a sibling replica,
+// its copy of the session state (see sessionListState).
 func (s *httpSession) acknowledge(li int, rc Receipt) {
 	ls := &s.state[li]
 	ls.mu.Lock()
 	ls.charged = ls.charged.Add(rc.Accesses)
 	ls.depth = max(ls.depth, rc.Depth)
 	ls.best = max(ls.best, rc.Best)
+	if len(rc.Seen) > 0 && len(s.t.lists[li]) > 1 {
+		if ls.seen == nil {
+			ls.seen = make([]uint64, s.t.n/64+1)
+		}
+		for _, p := range rc.Seen {
+			if p >= 1 && p <= s.t.n {
+				ls.seen[p/64] |= 1 << (p % 64)
+			}
+		}
+	}
 	ls.mu.Unlock()
+}
+
+// seenRanges compresses a seen-position bitset over 1..n into inclusive
+// [lo,hi] runs, the /session/sync encoding.
+func seenRanges(seen []uint64, n int) [][2]int {
+	if seen == nil {
+		return nil
+	}
+	var out [][2]int
+	start := 0
+	for p := 1; p <= n+1; p++ {
+		set := p <= n && seen[p/64]&(1<<(p%64)) != 0
+		switch {
+		case set && start == 0:
+			start = p
+		case !set && start != 0:
+			out = append(out, [2]int{start, p - 1})
+			start = 0
+		}
+	}
+	return out
 }
 
 // attemptRPC performs one data-plane round-trip with one replica,
@@ -1567,16 +1500,17 @@ func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, bod
 //     sibling on transient failure (every replica holds the session, and
 //     a stateless request is by construction replayable);
 //   - sessionful requests go to the session's pinned replica; replayable
-//     ones (mark, topk) may be retried there, and every successful one
-//     syncs its state delta to the list's mirror sibling. A pin failure
-//     that persists — or any failure of a non-replayable probe/above —
-//     HANDS OFF: the session re-pins to the synced mirror and resumes,
-//     re-sending even the non-replayable request, which is safe because
-//     the mirror's state excludes the failed exchange either way (the
-//     pin never applied it, or applied it but is dropped for good so
-//     its advanced cursor is never observed again). Only when no synced
-//     mirror exists (flat list, or every sibling gone) does the failure
-//     surface as OwnerFailedError.
+//     ones (mark, topk) may be retried there, and every successful one's
+//     receipt lands in the session's copy of the list's state. A pin
+//     failure that persists — or any failure of a non-replayable
+//     probe/above — HANDS OFF: the copy is synced to a sibling, the
+//     session re-pins there and resumes, re-sending even the
+//     non-replayable request, which is safe because the copy excludes
+//     the failed exchange either way (the pin never applied it, or
+//     applied it but is dropped for good so its advanced cursor is never
+//     observed again). Only when no sibling accepts the copy (flat list,
+//     or every sibling gone) does the failure surface as
+//     OwnerFailedError.
 func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Response, err error) {
 	kind := req.Kind()
 	enc := getBuf()
@@ -1680,9 +1614,6 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 				target.failovers.Add(1)
 			}
 			s.acknowledge(li, rc)
-			if sessionful {
-				s.syncMirror(ctx, li, rc)
-			}
 			return resp, nil
 		}
 		lastErr = err
@@ -1727,9 +1658,9 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 				continue // replayable: retry the pinned replica itself
 			}
 			// The pinned replica failed for good — or restarted and lost
-			// the cursors. Hand the session off to the synced mirror and
-			// resume there; without one, the failure poisons the session
-			// for this list.
+			// the cursors. Hand the session off to a sibling and resume
+			// there; without one, the failure poisons the session for
+			// this list.
 			if next := s.handoff(ctx, li, target); next != nil {
 				target = next
 				failedOver = true

@@ -24,7 +24,7 @@ import (
 //	topk_owner_sessions_opened_total            counter
 //	topk_owner_sessions_closed_total            counter
 //	topk_owner_sessions_evicted_total           counter    TTL sweep reclaims
-//	topk_owner_session_syncs_total              counter    mirrored state deltas applied
+//	topk_owner_session_syncs_total              counter    handoff state transfers applied
 //	topk_owner_inflight_exchanges               gauge      data-plane exchanges being served now
 //	topk_owner_shed_total                       counter    exchanges shed by admission control (429)
 //	topk_owner_deadline_abandoned_total         counter    exchanges abandoned on an expired deadline budget
@@ -36,8 +36,7 @@ import (
 //	topk_client_exchange_bytes                  histogram  request+response size per exchange
 //	topk_client_retries_total                   counter    extra attempts beyond the first
 //	topk_client_failovers_total                 counter    exchanges answered by a sibling replica
-//	topk_client_handoffs_total                  counter    session pin-to-mirror handoffs
-//	topk_client_mirror_promotions_total         counter    fresh mirrors promoted from pin state
+//	topk_client_handoffs_total                  counter    session pin-to-sibling handoffs
 //	topk_client_replica_failures_total          counter    transport-level replica failures
 //	topk_client_health_transitions_total{to}    counter    healthy<->unhealthy flips
 //	topk_client_replica_healthy{list,replica}   gauge      last health verdict (0|1)
@@ -95,7 +94,7 @@ var (
 	mOwnerSessOpened   = obs.GetCounter("topk_owner_sessions_opened_total", "Sessions opened over the owner's lifetime.", nil)
 	mOwnerSessClosed   = obs.GetCounter("topk_owner_sessions_closed_total", "Sessions closed by their originator.", nil)
 	mOwnerSessEvicted  = obs.GetCounter("topk_owner_sessions_evicted_total", "Idle sessions reclaimed by the TTL sweep.", nil)
-	mOwnerSessionSyncs = obs.GetCounter("topk_owner_session_syncs_total", "Mirrored session-state deltas applied via /session/sync.", nil)
+	mOwnerSessionSyncs = obs.GetCounter("topk_owner_session_syncs_total", "Handoff session-state transfers applied via /session/sync.", nil)
 	mOwnerInflight     = obs.GetGauge("topk_owner_inflight_exchanges", "Data-plane exchanges being served right now.", nil)
 	mOwnerShed         = obs.GetCounter("topk_owner_shed_total", "Data-plane exchanges shed by admission control before any work was done.", nil)
 	mOwnerDeadline     = obs.GetCounter("topk_owner_deadline_abandoned_total", "Exchanges abandoned because their deadline budget expired mid-handling.", nil)
@@ -110,8 +109,7 @@ var (
 	mClientExchBytes    = obs.GetHistogram("topk_client_exchange_bytes", "Request plus response bytes per completed exchange.", nil, obs.SizeBuckets)
 	mClientRetries      = obs.GetCounter("topk_client_retries_total", "Extra exchange attempts beyond the first.", nil)
 	mClientFailovers    = obs.GetCounter("topk_client_failovers_total", "Exchanges answered by a different replica than first targeted.", nil)
-	mClientHandoffs     = obs.GetCounter("topk_client_handoffs_total", "Session pin-to-mirror handoffs after a pinned replica failed.", nil)
-	mClientPromotions   = obs.GetCounter("topk_client_mirror_promotions_total", "Fresh mirror replicas promoted from the pin's full session state.", nil)
+	mClientHandoffs     = obs.GetCounter("topk_client_handoffs_total", "Session pin-to-sibling handoffs after a pinned replica failed.", nil)
 	mClientReplicaFails = obs.GetCounter("topk_client_replica_failures_total", "Transport-level failures observed against replicas.", nil)
 	mClientHealthUp     = obs.GetCounter("topk_client_health_transitions_total", "Replica health verdict flips, by direction.", obs.Labels{"to": "healthy"})
 	mClientHealthDown   = obs.GetCounter("topk_client_health_transitions_total", "Replica health verdict flips, by direction.", obs.Labels{"to": "unhealthy"})

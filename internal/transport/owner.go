@@ -130,8 +130,8 @@ func (s *ownerSession) markSeen(p int) {
 // that served it: the accesses it charged, the positions it marked
 // seen, and the session's scan depth and best position afterwards. The
 // HTTP server ships it behind every /rpc response, so the originator's
-// accounting and mirror deltas come from the owner's charging rules
-// alone. Update exchanges carry an empty receipt.
+// accounting and its copy of the session state come from the owner's
+// charging rules alone. Update exchanges carry an empty receipt.
 type Receipt struct {
 	Accesses access.Counts
 	Seen     []int
@@ -565,35 +565,23 @@ func (o *Owner) SessionStats(sid string) (OwnerStats, error) {
 	return st, nil
 }
 
-// SyncSession applies a session-state delta mirrored from a sibling
-// replica: it marks the given positions (single positions and inclusive
-// [lo,hi] ranges) seen in the session's tracker and raises the scan
-// depth. Marking is idempotent and the depth merge is monotonic, so
-// replaying a sync — or receiving one the pinned replica already
-// applied — converges instead of corrupting state. Control-plane:
-// nothing here touches the access probe, so mirrored state never
-// perturbs the accounting the originator sums from exchange receipts.
-func (o *Owner) SyncSession(sid string, positions []int, ranges [][2]int, depth int) error {
+// SyncSession brings this replica's copy of a session up to the state
+// the originator holds for it — the handoff transfer: it marks the
+// positions of the inclusive [lo,hi] ranges seen in the session's
+// tracker and raises the scan depth. Marking is idempotent and the
+// depth merge is monotonic, so replaying a sync converges instead of
+// corrupting state. Control-plane: nothing here touches the access
+// probe, so transferred state never perturbs the accounting the
+// originator sums from exchange receipts.
+func (o *Owner) SyncSession(sid string, ranges [][2]int, depth int) error {
 	s, err := o.session(sid)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range positions {
-		if p >= 1 && p <= o.n {
-			s.tr.MarkSeen(p)
-		}
-	}
 	for _, rg := range ranges {
-		lo, hi := rg[0], rg[1]
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > o.n {
-			hi = o.n
-		}
-		for p := lo; p <= hi; p++ {
+		for p := max(rg[0], 1); p <= min(rg[1], o.n); p++ {
 			s.tr.MarkSeen(p)
 		}
 	}
@@ -602,37 +590,6 @@ func (o *Owner) SyncSession(sid string, positions []int, ranges [][2]int, depth 
 	}
 	mOwnerSessionSyncs.Inc()
 	return nil
-}
-
-// SessionState exports a session's replicable protocol state — the seen
-// positions compressed into inclusive [lo,hi] ranges, plus the scan
-// depth — so a freshly promoted mirror replica can be brought up to the
-// pinned replica's state in one SyncSession. The access tally is
-// deliberately absent: it is not replicable state (the originator sums
-// it from exchange receipts).
-func (o *Owner) SessionState(sid string) (ranges [][2]int, depth int, err error) {
-	s, err := o.session(sid)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := 0
-	for p := 1; p <= o.n; p++ {
-		switch {
-		case s.tr.Seen(p):
-			if start == 0 {
-				start = p
-			}
-		case start != 0:
-			ranges = append(ranges, [2]int{start, p - 1})
-			start = 0
-		}
-	}
-	if start != 0 {
-		ranges = append(ranges, [2]int{start, o.n})
-	}
-	return ranges, s.depth, nil
 }
 
 // Handle serves one request inside the given session. Exchanges of the

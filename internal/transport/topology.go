@@ -128,10 +128,10 @@ func ParseRoutingPolicy(name string) (RoutingPolicy, error) {
 // OwnerFailedError reports a replica failing mid-query on traffic the
 // session could not move: sessionful exchanges (probe, above, mark,
 // topk, or a batch carrying one) live on the cursors and trackers of
-// the pinned replica, and when it dies the session hands off to its
-// synced mirror sibling. This error surfaces only when no synced mirror
-// exists — a flat single-replica list, handoff disabled, or every
-// sibling already failed. It names the list and the replica so an
+// the pinned replica, and when it dies the session hands off to a
+// sibling brought up to its state. This error surfaces only when no
+// sibling takes it — a flat single-replica list, or every sibling
+// already failed or refused the handoff. It names the list and the replica so an
 // operator knows which process to look at; callers should rerun the
 // query (or let the dist restart driver do it) — a fresh session pins
 // to a live replica.
@@ -442,6 +442,11 @@ func (t *HTTPClient) probeReplica(ctx context.Context, r *replica) {
 		t.noteHealth(r, false)
 		return
 	}
+	// The probe does not keep its connection: the pool is for query
+	// traffic. A probe overlapping a query would otherwise leave a second
+	// idle connection per replica, and the default cadence outlasts the
+	// default pool's idle timeout anyway.
+	req.Close = true
 	start := time.Now()
 	resp, err := t.hc.Do(req)
 	if err == nil {

@@ -189,11 +189,18 @@ func TestReplicatedOpenFansOut(t *testing.T) {
 type flakyGate struct {
 	inner http.Handler
 	dead  atomic.Bool
+	// failRPCs counts down /rpc calls answered 500 before they reach the
+	// owner.
+	failRPCs atomic.Int64
 }
 
 func (g *flakyGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if g.dead.Load() {
 		panic(http.ErrAbortHandler)
+	}
+	if strings.HasPrefix(r.URL.Path, "/rpc/") && g.failRPCs.Add(-1) >= 0 {
+		http.Error(w, `{"error":"injected failure"}`, http.StatusInternalServerError)
+		return
 	}
 	g.inner.ServeHTTP(w, r)
 }
@@ -268,13 +275,12 @@ func TestStatelessFailover(t *testing.T) {
 }
 
 // TestSessionfulPinAndOwnerFailedError: cursor-bearing traffic sticks
-// to one replica; when that replica dies with no synced mirror left, the
-// session fails fast with the typed error naming list and replica — it
-// must NOT resume on the sibling whose cursors never advanced. The
-// mirror is taken out first: replica B dies after the open, so the
-// pin's sync to it and every promotion onto it fail and the session
-// runs unmirrored. (With a live mirror the pin's death is absorbed; see
-// TestSessionfulHandoff.)
+// to one replica; when that replica dies and no sibling accepts the
+// session's state, the session fails fast with the typed error naming
+// list and replica — it must NOT resume on the sibling whose cursors
+// never advanced. The sibling is taken out first: replica B dies after
+// the open, so the handoff sync to it fails. (With a live sibling the
+// pin's death is absorbed; see TestSessionfulHandoff.)
 func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
 	srvA, err := NewServer(one, 0)
@@ -306,8 +312,8 @@ func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 
-	// B acknowledged the open, so it is the session's mirror-to-be; kill
-	// it before the first sessionful exchange syncs to it.
+	// B acknowledged the open, so it is the session's only handoff
+	// target; kill it.
 	gateB.dead.Store(true)
 
 	// Two probes pin the session to replica A and advance its cursor.
@@ -332,8 +338,8 @@ func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 		t.Errorf("sessionful traffic leaked to the unpinned replica: %+v", stB)
 	}
 	recovery := func() SessionRecovery { return s.(interface{ Recovery() SessionRecovery }).Recovery() }
-	if rec := recovery(); rec.FailedReplicas != 1 {
-		t.Errorf("the dead mirror's failed syncs were not tallied: %+v", rec)
+	if rec := recovery(); rec.FailedReplicas != 0 {
+		t.Errorf("an undisturbed pin contacted its sibling: %+v", rec)
 	}
 
 	// Kill the pinned replica: the next probe is a typed failure.
@@ -363,8 +369,8 @@ func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	if stB.Best != 0 {
 		t.Errorf("failed sessionful traffic moved to the sibling: best=%d", stB.Best)
 	}
-	if rec := recovery(); rec.Handoffs != 0 {
-		t.Errorf("session handed off to an unsynced sibling: %+v", rec)
+	if rec := recovery(); rec.Handoffs != 0 || rec.FailedReplicas != 2 {
+		t.Errorf("recovery = %+v, want 0 handoffs and both replicas failed (pin, then the refused sync)", rec)
 	}
 }
 
@@ -498,14 +504,15 @@ func TestReplicaIdentityInStats(t *testing.T) {
 	}
 }
 
-// TestStatsBestFromNonMirrorReplica: with three replicas, Stats may be
-// answered by a replica that is neither the pin nor the mirror and so
-// never saw the session's state. The session's best position (like its
-// accesses and depth) must still be the pin's last one — it comes from
-// the receipts the pin returned, not from whichever replica answered.
-func TestStatsBestFromNonMirrorReplica(t *testing.T) {
+// TestStatsBestFromUnpinnedReplica: with three replicas, Stats may be
+// answered by a replica that is not the pin and so never saw the
+// session's state. The session's best position (like its accesses and
+// depth) must still be the pin's last one — it comes from the receipts
+// the pin returned, not from whichever replica answered.
+func TestStatsBestFromUnpinnedReplica(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
 	var servers []*httptest.Server
+	var owners []*Owner
 	var urls []string
 	for i := 0; i < 3; i++ {
 		srv, err := NewServer(one, 0)
@@ -515,6 +522,7 @@ func TestStatsBestFromNonMirrorReplica(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		servers = append(servers, ts)
+		owners = append(owners, srv.Owner())
 		urls = append(urls, ts.URL)
 	}
 	hc, err := Dial(context.Background(), DialConfig{
@@ -538,17 +546,19 @@ func TestStatsBestFromNonMirrorReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ls := &s.(*httpSession).state[0]
-	pin, mirror := ls.pin, ls.mirror
-	if pin == nil || mirror == nil {
-		t.Fatalf("session not pinned and mirrored: pin %v mirror %v", pin, mirror)
+	pin := s.(*httpSession).state[0].pin
+	if pin == nil {
+		t.Fatal("session not pinned")
 	}
-	other := 3 - pin.index - mirror.index
-	// Close the pin's server and leave the non-mirror replica the only
+	other, fenced := (pin.index+1)%3, hc.lists[0][(pin.index+2)%3]
+	if st, err := owners[other].SessionStats(s.ID()); err != nil || st.Best != 0 {
+		t.Fatalf("unpinned replica %d holds session state: %+v, %v", other, st, err)
+	}
+	// Close the pin's server and leave one unpinned replica the only
 	// healthy one, so Stats routes there.
 	servers[pin.index].Close()
 	hc.noteHealth(pin, false)
-	hc.noteHealth(mirror, false)
+	hc.noteHealth(fenced, false)
 	st, err := s.Stats(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -915,15 +925,15 @@ func TestRestartedReplicaFailsOver(t *testing.T) {
 	}
 
 	// Sessionful traffic pinned to a replica that restarts (session
-	// gone, 404 on every exchange) hands off to the mirroring sibling
-	// and resumes exactly where the dead pin left it.
+	// gone, 404 on every exchange) hands off to the sibling and resumes
+	// exactly where the dead pin left it.
 	s2, err := hc.Open(ctx, bestpos.BitArrayKind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	if _, err := s2.Do(ctx, 0, ProbeReq{}); err != nil {
-		t.Fatal(err) // pins to replica 0 (primary), mirrors to replica 1
+		t.Fatal(err) // pins to replica 0 (primary)
 	}
 	fresh2 := mkHandler()
 	gateA.h.Store(&fresh2)
@@ -942,9 +952,10 @@ func TestRestartedReplicaFailsOver(t *testing.T) {
 
 // TestSessionfulHandoff: with handoff on (the default), killing the
 // replica a session's cursor-bearing traffic is pinned to re-pins the
-// session to the sibling that mirrors its state — the query resumes
-// exactly where the dead pin left it, no cursor advances twice, and the
-// receipt accounting is identical to an undisturbed run.
+// session to the sibling, brought up to the session's state in one
+// sync — the query resumes exactly where the dead pin left it, no
+// cursor advances twice, and the receipt accounting is identical to an
+// undisturbed run.
 func TestSessionfulHandoff(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
 	srvA, err := NewServer(one, 0)
@@ -975,7 +986,7 @@ func TestSessionfulHandoff(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 
-	// Two probes pin to A; each synchronously mirrors its position to B.
+	// Two probes pin to A; B is not contacted while A lives.
 	for i := 1; i <= 2; i++ {
 		resp, err := s.Do(ctx, 0, ProbeReq{})
 		if err != nil {
@@ -985,16 +996,12 @@ func TestSessionfulHandoff(t *testing.T) {
 			t.Fatalf("probe %d = %+v", i, got)
 		}
 	}
-	// The mirror holds the state delta without being charged for it.
 	stB, err := srvB.Owner().SessionStats(s.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stB.Best != 2 {
-		t.Errorf("mirror best = %d, want 2 (positions 1,2 mirrored)", stB.Best)
-	}
-	if stB.Accesses.Total() != 0 {
-		t.Errorf("mirroring charged the sibling: %+v", stB.Accesses)
+	if stB.Best != 0 {
+		t.Errorf("sibling best = %d before the handoff, want 0", stB.Best)
 	}
 
 	// Kill the pin: the next probe hands off to B and resumes at 3.
@@ -1012,6 +1019,18 @@ func TestSessionfulHandoff(t *testing.T) {
 	if _, err := s.Do(ctx, 0, MarkReq{Item: one.List(0).At(9).Item}); err != nil {
 		t.Fatalf("mark after handoff: %v", err)
 	}
+	// B holds the transferred positions 1,2 plus its own 3,4 and 9, and
+	// is charged only for what it served: the sync itself is free.
+	stB, err = srvB.Owner().SessionStats(s.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stB.Best != 4 {
+		t.Errorf("new pin best = %d, want 4 (positions 1,2 transferred, 3,4 probed)", stB.Best)
+	}
+	if stB.Accesses.Direct != 2 || stB.Accesses.Random != 1 {
+		t.Errorf("new pin charged %+v, want direct=2 random=1", stB.Accesses)
+	}
 	// The receipts report what an undisturbed run would: 4 probes + 1 mark.
 	st, err := s.Stats(ctx, 0)
 	if err != nil {
@@ -1025,10 +1044,8 @@ func TestSessionfulHandoff(t *testing.T) {
 		t.Errorf("recovery = %+v, want 1 handoff, 1 failed replica", rec)
 	}
 
-	// Kill the promoted pin too: nothing left to hand off to — the typed
+	// Kill the new pin too: nothing left to hand off to — the typed
 	// error names the replica that exhausted the session.
-	gateB := &flakyGate{inner: srvB.Handler()}
-	_ = gateB // tsB has no gate; close the server instead.
 	tsB.Close()
 	_, err = s.Do(ctx, 0, ProbeReq{})
 	var ofe *OwnerFailedError
@@ -1040,7 +1057,7 @@ func TestSessionfulHandoff(t *testing.T) {
 	}
 }
 
-// TestHandoffDepthSync: the mirrored state includes the scan depth, so
+// TestHandoffDepthSync: the transferred state includes the scan depth, so
 // a TPUT-style topk-then-above sequence split across a handoff answers
 // and accounts exactly like an undisturbed run against one owner.
 func TestHandoffDepthSync(t *testing.T) {
@@ -1096,7 +1113,7 @@ func TestHandoffDepthSync(t *testing.T) {
 		t.Fatalf("topk diverged before the kill: %+v vs %+v", k1, ck1)
 	}
 	// Kill the pin between phases: the above must resume at depth 3 on
-	// the mirror, not rescan from the top.
+	// the sibling, not rescan from the top.
 	gateA.dead.Store(true)
 	theta := one.List(0).At(10).Score
 	a1, err := s.Do(ctx, 0, AboveReq{T: theta})
@@ -1124,10 +1141,11 @@ func TestHandoffDepthSync(t *testing.T) {
 	}
 }
 
-// TestMirrorPromotionAfterMirrorDeath: when the MIRROR dies, the pin
-// promotes a fresh sibling by copying the full session state to it — so
-// a later pin death still hands off losslessly.
-func TestMirrorPromotionAfterMirrorDeath(t *testing.T) {
+// TestHandoffAfterSiblingDeath: with three replicas, a sibling that
+// dies while the pin lives costs the session nothing — it is never
+// contacted — and when the pin dies too, the handoff lands on the
+// remaining replica with the full state: positions 1..3 seen.
+func TestHandoffAfterSiblingDeath(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
 	mkGate := func() *flakyGate {
 		srv, err := NewServer(one, 0)
@@ -1137,15 +1155,13 @@ func TestMirrorPromotionAfterMirrorDeath(t *testing.T) {
 		return &flakyGate{inner: srv.Handler()}
 	}
 	gates := []*flakyGate{mkGate(), mkGate(), mkGate()}
-	var topo Topology
 	var urls []string
 	for _, g := range gates {
 		ts := httptest.NewServer(g)
 		defer ts.Close()
 		urls = append(urls, ts.URL)
 	}
-	topo = Topology{urls}
-	hc, err := Dial(context.Background(), DialConfig{Topology: topo, HealthInterval: -1})
+	hc, err := Dial(context.Background(), DialConfig{Topology: Topology{urls}, HealthInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1157,30 +1173,124 @@ func TestMirrorPromotionAfterMirrorDeath(t *testing.T) {
 	}
 	defer s.Close()
 
-	// Pin to replica 0, mirror on replica 1.
+	// Pin to replica 0 (primary).
 	for i := 1; i <= 2; i++ {
 		if _, err := s.Do(ctx, 0, ProbeReq{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Kill the mirror. The next exchange succeeds on the pin, notices the
-	// failed sync, and promotes replica 2 with a full state copy.
+	// Kill sibling 1, the first handoff choice. The pin keeps serving.
 	gates[1].dead.Store(true)
 	if _, err := s.Do(ctx, 0, ProbeReq{}); err != nil {
-		t.Fatalf("probe with dead mirror: %v", err)
+		t.Fatalf("probe with a dead sibling: %v", err)
 	}
-	// Now kill the pin: the handoff lands on the promoted replica 2 and
-	// resumes at position 4 — proof the full-state copy carried 1..3.
+	// Now kill the pin: the sync to replica 1 fails, the handoff lands on
+	// replica 2 and resumes at position 4 — proof the transfer carried
+	// 1..3.
 	gates[0].dead.Store(true)
 	resp, err := s.Do(ctx, 0, ProbeReq{})
 	if err != nil {
-		t.Fatalf("probe after pin death did not hand off to the promoted mirror: %v", err)
+		t.Fatalf("probe after pin death did not hand off to the remaining sibling: %v", err)
 	}
 	if got := resp.(ProbeResp).Entry; got != one.List(0).At(4) {
-		t.Errorf("probe after promotion+handoff = %+v, want position 4", got)
+		t.Errorf("probe after handoff = %+v, want position 4", got)
+	}
+	if pin := s.(*httpSession).state[0].pin; pin.index != 2 {
+		t.Errorf("session pinned to replica %d after handoff, want 2", pin.index)
 	}
 	rec := s.(*httpSession).Recovery()
 	if rec.Handoffs != 1 || rec.FailedReplicas != 2 {
+		t.Errorf("recovery = %+v, want 1 handoff, 2 failed replicas", rec)
+	}
+}
+
+// TestHandoffToSiblingThatFailedEarlier: a sibling that failed an
+// exchange earlier in the query still holds the session, so it still
+// takes the handoff when the pin dies — it receives the session's whole
+// state then, not a stream of deltas it might have missed. Every answer
+// and the final accounting match the same exchanges over Loopback.
+func TestHandoffToSiblingThatFailedEarlier(t *testing.T) {
+	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
+	mkGate := func() *flakyGate {
+		srv, err := NewServer(one, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &flakyGate{inner: srv.Handler()}
+	}
+	gates := []*flakyGate{mkGate(), mkGate()}
+	var urls []string
+	for _, g := range gates {
+		ts := httptest.NewServer(g)
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+	ctx := context.Background()
+	hc, err := Dial(ctx, DialConfig{Topology: Topology{urls}, Policy: RouteRoundRobin, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hc.Close()
+	s, err := hc.Open(ctx, bestpos.BitArrayKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	lb, err := NewLoopback(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := lb.Open(ctx, bestpos.BitArrayKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+	same := func(req Request) {
+		t.Helper()
+		got, err := s.Do(ctx, 0, req)
+		if err != nil {
+			t.Fatalf("%s: %v", req.Kind(), err)
+		}
+		want, err := oracle.Do(ctx, 0, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s = %+v, loopback %+v", req.Kind(), got, want)
+		}
+	}
+
+	// Round-robin pins the session to replica 0 and routes the next
+	// stateless read to replica 1, which fails it; the read fails over.
+	same(ProbeReq{})
+	gates[1].failRPCs.Store(1)
+	same(SortedReq{Pos: 7})
+	if rec := s.(*httpSession).Recovery(); rec.FailedReplicas != 1 {
+		t.Fatalf("replica 1 did not fail the read: %+v", rec)
+	}
+	same(ProbeReq{})
+	same(MarkReq{Item: one.List(0).At(6).Item})
+	// The pin dies: replica 1 takes the session over and resumes.
+	gates[0].dead.Store(true)
+	for i := 0; i < 3; i++ {
+		same(ProbeReq{})
+	}
+	if pin := s.(*httpSession).state[0].pin; pin.index != 1 {
+		t.Errorf("session pinned to replica %d after handoff, want 1", pin.index)
+	}
+	st, err := s.Stats(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.Stats(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Accesses != want.Accesses || st.Depth != want.Depth || st.Best != want.Best {
+		t.Errorf("accounting %+v depth %d best %d; loopback %+v depth %d best %d",
+			st.Accesses, st.Depth, st.Best, want.Accesses, want.Depth, want.Best)
+	}
+	if rec := s.(*httpSession).Recovery(); rec.Handoffs != 1 || rec.FailedReplicas != 2 {
 		t.Errorf("recovery = %+v, want 1 handoff, 2 failed replicas", rec)
 	}
 }

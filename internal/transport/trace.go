@@ -44,7 +44,7 @@ type Span struct {
 	Attempts int `json:"attempts"`
 	// FailedOver marks an exchange answered by a different replica
 	// than first targeted; Handoff marks a sessionful exchange that
-	// re-pinned the session to its synced mirror mid-flight.
+	// re-pinned the session to a sibling mid-flight.
 	FailedOver bool `json:"failed_over,omitempty"`
 	Handoff    bool `json:"handoff,omitempty"`
 	// Err is the terminal error of a failed exchange, "" on success.

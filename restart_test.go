@@ -249,12 +249,10 @@ func TestRestartExhaustedError(t *testing.T) {
 	}
 }
 
-// TestRestartWithHandoffDisabled: when a session has no synced mirror
-// to hand off to, a replicated cluster recovers a killed sessionful
-// query only through the restart policy. The mirror is disabled by
-// failing it first — its /session/sync answers 500, so the pin's first
-// delta and the promotion that follows both fail — and only then does
-// the pin die.
+// TestRestartWithHandoffDisabled: when no sibling accepts a session's
+// handoff, a replicated cluster recovers a killed sessionful query only
+// through the restart policy. The secondary's /session/sync answers
+// 500, so the handoff sync that follows the pin's death is refused.
 func TestRestartWithHandoffDisabled(t *testing.T) {
 	db, err := Generate(GenSpec{Kind: GenUniform, N: 200, M: 2, Seed: 11})
 	if err != nil {
@@ -267,10 +265,10 @@ func TestRestartWithHandoffDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two replicas for list 0; the primary dies after two data-plane
-	// calls, the secondary refuses every mirror sync. With no synced
-	// mirror the session cannot move, so the first attempt dies with the
-	// typed owner failure — and the restart reruns the query, which pins
-	// to the surviving replica (a pin without a sibling syncs nowhere).
+	// calls, the secondary refuses every handoff sync. With no sibling
+	// to take it, the session cannot move, so the first attempt dies
+	// with the typed owner failure — and the restart reruns the query,
+	// which pins to the surviving replica.
 	topo := make([][]string, db.M())
 	var gate *deadAfterGate
 	var syncFailures atomic.Int32
@@ -295,7 +293,7 @@ func TestRestartWithHandoffDisabled(t *testing.T) {
 				h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					if r.URL.Path == "/session/sync" {
 						syncFailures.Add(1)
-						http.Error(w, `{"error":"mirror out of sync"}`, http.StatusInternalServerError)
+						http.Error(w, `{"error":"sync refused"}`, http.StatusInternalServerError)
 						return
 					}
 					inner.ServeHTTP(w, r)
@@ -323,7 +321,7 @@ func TestRestartWithHandoffDisabled(t *testing.T) {
 		t.Fatal("the kill never fired")
 	}
 	if syncFailures.Load() == 0 {
-		t.Fatal("the mirror never refused a sync: the session kept a synced mirror")
+		t.Fatal("the secondary never refused a sync: the session never tried to hand off")
 	}
 	if got.Stats.Recovery.Restarts != 1 || got.Stats.Recovery.Handoffs != 0 {
 		t.Errorf("recovery = %+v, want 1 restart, 0 handoffs", got.Stats.Recovery)
