@@ -123,12 +123,17 @@
 // batched exchange for that owner, executed atomically against the
 // query's session, with responses in request order. TA and BPA, which
 // trigger m-1 lookups per owner per round, collapse from m round-trips
-// per round to two; BPA2 and TPUT already address each owner at most
-// once per fan-out and are untouched. Batching is per-owner, per-round,
-// single-session wire mechanics: DistStats.Net.Messages, Payload and
-// PerOwner keep charging the logical messages (the paper's cost
-// metrics), while DistStats.Net.Exchanges counts the wire round-trips a
-// deployment actually pays.
+// per round to two. BPA2 sends each probe in one batch behind the mark
+// its owner must see first, and holds the marks no probe waits on for
+// one wave at the end of the round: m+1 sequential steps and m(m+1)/2
+// exchanges per round instead of 2m and m², with every owner executing
+// the same requests in the same order. TPUT already addresses each
+// owner at most once per fan-out and is untouched. Batching is
+// per-owner, per-round, single-session wire mechanics:
+// DistStats.Net.Messages, Payload and PerOwner keep charging the
+// logical messages (the paper's cost metrics), while
+// DistStats.Net.Exchanges counts the wire round-trips a deployment
+// actually pays.
 //
 // On the HTTP backend each exchange travels as one length-prefixed
 // little-endian binary frame (Content-Type application/x-topk-binary;
@@ -143,7 +148,7 @@
 //	protocol   binary bytes/query
 //	dist-ta        212,976
 //	dist-bpa       227,664
-//	dist-bpa2      249,856
+//	dist-bpa2      229,360
 //	tput            72,644
 //	tput-a          72,644
 //

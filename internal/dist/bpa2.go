@@ -29,15 +29,31 @@ func BPA2(db *list.Database, opts Options) (*Result, error) {
 // extra messages and the seen-position sets never travel — the property
 // that makes BPA2 attractive in distributed settings.
 //
-// Probes are inherently sequential — which position owner i probes next
-// depends on the marks earlier probes of the same round planted there —
-// but the (m-1) marks each probe triggers go to distinct owners and fan
-// out in one wave, which a concurrent backend overlaps. Each owner of
-// that wave receives exactly one mark, so the wave is already one wire
-// exchange per owner; round coalescing cannot compress BPA2 further —
-// nor may the marks be deferred across probes, because probe j must
-// observe every mark planted at owner j earlier in the round for the
-// access counts to match centralized BPA2.
+// Probes are sequential: which position owner j probes depends on the
+// marks the round's earlier probes planted there. A mark to owner j
+// only has to arrive before j's own probe, so the round is scheduled in
+// m+1 sequential steps and m(m+1)/2 wire exchanges instead of 2m steps
+// and m²:
+//
+//   - after owner i's probe, its marks to the owners still to probe this
+//     round go out at once, and the next prober's probe rides behind its
+//     mark in one batch (which the owner runs in order);
+//   - its other marks — to owners that probed earlier in the round or
+//     will not probe — are held and go out in one wave at the end of the
+//     round, coalesced per owner in probe order;
+//   - each probed item's m local scores fill a row, and Y and the λ stop
+//     check run once that wave has answered.
+//
+// Every owner still receives exactly the sequential schedule — the marks
+// of earlier probers, its own probe, the marks of later probers — so
+// accesses, best positions and every piggybacked answer are those of the
+// one-list-at-a-time schedule; only the interleaving across owners
+// changes. Each probed item is new and gets marked at every owner, so
+// all owners have seen exactly as many positions as items were probed:
+// the lists run out together, and once n items are probed the round
+// sends no further probe. The next round's first probe is never sent
+// early: it would cross the stop check and advance the best positions of
+// a query that has already stopped.
 func BPA2Over(ctx context.Context, t transport.Transport, opts Options) (*Result, error) {
 	r, err := newRunner(ctx, t, opts)
 	if err != nil {
@@ -53,55 +69,108 @@ func BPA2Over(ctx context.Context, t transport.Transport, opts Options) (*Result
 	for i := range bestScore {
 		bestScore[i] = inf
 	}
-	locals := make([]float64, m)
+	nextLive := func(after int) int {
+		for j := after + 1; j < m; j++ {
+			if !exhausted[j] {
+				return j
+			}
+		}
+		return -1
+	}
+
+	// Per-round scratch: the probed items in probe order with their rows
+	// of local scores, the wave in flight (forward marks, then the next
+	// probe) and the held back-marks, each call tagged with the row its
+	// answer fills.
+	items := make([]list.ItemID, 0, m)
+	rows := make([][]float64, m)
+	for k := range rows {
+		rows[k] = make([]float64, m)
+	}
+	var wave, back []transport.Call
+	var waveRow, backRow []int
+	mark := func(resp transport.Response, j, row int) error {
+		mr, err := as[transport.MarkResp](resp)
+		if err != nil {
+			return err
+		}
+		bestScore[j], exhausted[j] = float64(mr.BestScore), mr.Exhausted
+		rows[row][j] = mr.Score
+		return nil
+	}
+	send := func(calls []transport.Call) ([]transport.Response, error) {
+		if len(calls) > 1 {
+			return r.doAll(calls)
+		}
+		resp, err := r.do(calls[0].Owner, calls[0].Req)
+		return []transport.Response{resp}, err
+	}
+	probed := 0 // items probed so far
 
 	res := &Result{}
 	for {
 		r.nw.net.Rounds++
-		progress := false
-		for i := 0; i < m; i++ {
-			if exhausted[i] {
-				continue // nothing unseen at this owner
-			}
-			resp, err := r.do(i, transport.ProbeReq{})
+		items, back, backRow = items[:0], back[:0], backRow[:0]
+		for p := nextLive(-1); p >= 0; {
+			wave = append(wave, transport.Call{Owner: p, Req: transport.ProbeReq{}})
+			resps, err := send(wave)
 			if err != nil {
 				return nil, err
 			}
-			pr, err := as[transport.ProbeResp](resp)
-			if err != nil {
-				return nil, err
-			}
-			bestScore[i], exhausted[i] = float64(pr.BestScore), pr.Exhausted
-			if pr.Empty {
-				continue // defensive: owner had nothing left to probe
-			}
-			progress = true
-			locals[i] = pr.Entry.Score
-			markCalls := make([]transport.Call, 0, m-1)
-			for j := 0; j < m; j++ {
-				if j == i {
-					continue
-				}
-				markCalls = append(markCalls, transport.Call{Owner: j, Req: transport.MarkReq{Item: pr.Entry.Item}})
-			}
-			markResps, err := r.doAll(markCalls)
-			if err != nil {
-				return nil, err
-			}
-			for c, resp := range markResps {
-				j := markCalls[c].Owner
-				mr, err := as[transport.MarkResp](resp)
-				if err != nil {
+			last := len(resps) - 1
+			for c, resp := range resps[:last] {
+				if err := mark(resp, wave[c].Owner, waveRow[c]); err != nil {
 					return nil, err
 				}
-				bestScore[j], exhausted[j] = float64(mr.BestScore), mr.Exhausted
-				locals[j] = mr.Score
 			}
-			r.y.Add(pr.Entry.Item, r.f.Combine(locals))
+			wave, waveRow = wave[:0], waveRow[:0]
+			pr, err := as[transport.ProbeResp](resps[last])
+			if err != nil {
+				return nil, err
+			}
+			bestScore[p], exhausted[p] = float64(pr.BestScore), pr.Exhausted
+			if pr.Empty {
+				p = nextLive(p) // defensive: owner had nothing left to probe
+				continue
+			}
+			row := len(items)
+			items = append(items, pr.Entry.Item)
+			rows[row][p] = pr.Entry.Score
+			probed++
+			nxt := -1
+			if probed < r.n {
+				nxt = nextLive(p)
+			}
+			for j := 0; j < m; j++ {
+				if j == p {
+					continue
+				}
+				c := transport.Call{Owner: j, Req: transport.MarkReq{Item: pr.Entry.Item}}
+				if nxt >= 0 && j > p && !exhausted[j] {
+					wave, waveRow = append(wave, c), append(waveRow, row)
+				} else {
+					back, backRow = append(back, c), append(backRow, row)
+				}
+			}
+			p = nxt
 		}
-		if !progress {
+		if len(back) > 0 {
+			resps, err := send(back)
+			if err != nil {
+				return nil, err
+			}
+			for c, resp := range resps {
+				if err := mark(resp, back[c].Owner, backRow[c]); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if len(items) == 0 {
 			// Every position of every list has been seen; Y is exact.
 			break
+		}
+		for row, d := range items {
+			r.y.Add(d, r.f.Combine(rows[row]))
 		}
 
 		// After the first round every owner has probed position 1 at the
@@ -121,5 +190,5 @@ func BPA2Over(ctx context.Context, t transport.Transport, opts Options) (*Result
 	for i, st := range sts {
 		res.BestPositions[i] = st.Best
 	}
-	return r.finish(res)
+	return r.assemble(res, sts), nil
 }

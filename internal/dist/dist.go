@@ -228,9 +228,10 @@ func (nw *network) respond(owner int, scalars int) {
 // doAll is also where round coalescing happens: the logical calls of one
 // fan-out are grouped per owner, and every owner addressed more than
 // once receives a single transport.BatchReq carrying its share of the
-// round — one wire exchange per owner per round, whatever the protocol's
-// chattiness. Accounting stays per logical message, so coalescing is
-// invisible to Net.Messages/Payload/PerOwner by construction.
+// fan-out — one wire exchange per owner per fan-out, whatever the
+// protocol's chattiness. Accounting stays per logical message, so
+// coalescing is invisible to Net.Messages/Payload/PerOwner by
+// construction.
 type runner struct {
 	ctx  context.Context
 	sess transport.Session
@@ -430,13 +431,20 @@ func (r *runner) stats() ([]transport.OwnerStats, error) {
 	return out, nil
 }
 
-// finish assembles the common Result fields.
+// finish gathers the owners' stats and assembles the common Result
+// fields from them.
 func (r *runner) finish(res *Result) (*Result, error) {
-	res.Items = r.y.Slice()
 	sts, err := r.stats()
 	if err != nil {
 		return nil, err
 	}
+	return r.assemble(res, sts), nil
+}
+
+// assemble fills the common Result fields from one gather of the
+// owners' stats.
+func (r *runner) assemble(res *Result, sts []transport.OwnerStats) *Result {
+	res.Items = r.y.Slice()
 	for _, st := range sts {
 		res.Accesses = res.Accesses.Add(st.Accesses)
 	}
@@ -456,7 +464,7 @@ func (r *runner) finish(res *Result) (*Result, error) {
 	if r.rec != nil {
 		res.Trace = r.rec.Spans()
 	}
-	return res, nil
+	return res
 }
 
 // loopback builds the deterministic in-process transport the db-level

@@ -1,11 +1,14 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,16 +22,20 @@ import (
 // handoffGate fronts one replica with the faults the handoff edge cases
 // need: it dies after serving killAfter /rpc calls (never when
 // negative), can refuse every /session/sync with a 500, and can tear
-// the response of its tearProbe-th probe — the owner applies the probe,
-// the client gets half a frame, and the replica dies.
+// the response of its tearProbe-th exchange that carries a probe (bare
+// or riding in a batch) or of its tearMarks-th batch of marks alone —
+// the owner applies the exchange, the client gets half a frame, and the
+// replica dies.
 type handoffGate struct {
 	inner      http.Handler
 	killAfter  int64
 	tearProbe  int64
+	tearMarks  int64
 	refuseSync atomic.Bool
 
-	rpcs, probes, syncs atomic.Int64
-	dead                atomic.Bool
+	rpcs, probes, markBatches, syncs atomic.Int64
+	torn                             atomic.Int64 // logical requests in the torn exchange
+	dead                             atomic.Bool
 }
 
 func (g *handoffGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -47,7 +54,7 @@ func (g *handoffGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			g.dead.Store(true)
 			panic(http.ErrAbortHandler)
 		}
-		if r.URL.Path == "/rpc/probe" && g.probes.Add(1) == g.tearProbe {
+		if g.tears(r) {
 			rec := httptest.NewRecorder()
 			g.inner.ServeHTTP(rec, r)
 			for k, v := range rec.Header() {
@@ -62,6 +69,39 @@ func (g *handoffGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	g.inner.ServeHTTP(w, r)
+}
+
+// tears counts an /rpc exchange against the armed tear and reports
+// whether this is the one to tear. It reads the request body to see
+// what the exchange carries, and leaves it readable for the owner.
+func (g *handoffGate) tears(r *http.Request) bool {
+	if g.tearProbe == 0 && g.tearMarks == 0 {
+		return false
+	}
+	body, err := io.ReadAll(r.Body)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	if err != nil {
+		return false
+	}
+	req, err := transport.DecodeRequestBinary(body)
+	if err != nil {
+		return false
+	}
+	reqs := []transport.Request{req}
+	if b, ok := req.(transport.BatchReq); ok {
+		reqs = b.Reqs
+	}
+	var tear bool
+	switch {
+	case slices.ContainsFunc(reqs, func(q transport.Request) bool { return q.Kind() == transport.KindProbe }):
+		tear = g.probes.Add(1) == g.tearProbe
+	case len(reqs) > 1:
+		tear = g.markBatches.Add(1) == g.tearMarks
+	}
+	if tear {
+		g.torn.Store(int64(len(reqs)))
+	}
+	return tear
 }
 
 // gatedCluster serves every list of db from reps gated replicas, dialed
@@ -261,5 +301,52 @@ func TestHandoffAfterTornProbe(t *testing.T) {
 	sameRun(t, got, want)
 	if got.Recovery.Handoffs != 1 || got.Recovery.FailedReplicas != 1 {
 		t.Errorf("recovery = %+v, want 1 handoff and 1 failed replica", got.Recovery)
+	}
+}
+
+// TestHandoffAfterTornBatch tears the two batch shapes BPA2's schedule
+// sends: on list 1, a batch whose probe rides behind the mark of list
+// 0's probe; on list 0, an end-of-round wave of back-marks. Either way
+// the pin applied the batch and died before the client read the
+// answer; the sibling resumes from the acknowledged state and the run
+// matches the loopback oracle with one handoff.
+func TestHandoffAfterTornBatch(t *testing.T) {
+	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 200, M: 3, Seed: 5})
+	lb, err := transport.NewLoopback(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := Options{K: 8, Scoring: score.Sum{}}
+	want, err := BPA2Over(ctx, lb, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		list int
+		arm  func(g *handoffGate)
+	}{
+		{"riding-probe", 1, func(g *handoffGate) { g.tearProbe = 3 }},
+		{"back-marks", 0, func(g *handoffGate) { g.tearMarks = 3 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			hc, gates := gatedCluster(t, db, 2, func(li, ri int, g *handoffGate) {
+				if li == c.list && ri == 0 {
+					c.arm(g)
+				}
+			})
+			got, err := BPA2Over(ctx, hc, opts)
+			if err != nil {
+				t.Fatalf("query did not survive the torn batch: %v", err)
+			}
+			if g := gates[c.list][0]; !g.dead.Load() || g.torn.Load() < 2 {
+				t.Fatalf("dead %v after tearing %d requests; want a torn batch", g.dead.Load(), g.torn.Load())
+			}
+			sameRun(t, got, want)
+			if got.Recovery.Handoffs != 1 || got.Recovery.FailedReplicas != 1 {
+				t.Errorf("recovery = %+v, want 1 handoff and 1 failed replica", got.Recovery)
+			}
+		})
 	}
 }

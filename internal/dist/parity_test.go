@@ -201,10 +201,12 @@ func TestConcurrentSessionsParity(t *testing.T) {
 
 // TestRoundCoalescing pins the wire-exchange accounting: TA and BPA
 // coalesce each round's m-1 lookups per owner into one batched exchange
-// (so a round costs exactly 2m wire round-trips), while BPA2 and the
-// TPUT family address every owner at most once per fan-out and have
-// nothing to coalesce (Exchanges == Messages/2). Logical message counts
-// are untouched either way.
+// (so a round costs exactly 2m wire round-trips); BPA2 rides each probe
+// behind its owner's mark and coalesces the back-marks into one wave at
+// the end of the round, at most m(m+1)/2 exchanges per round; the TPUT
+// family addresses every owner at most once per fan-out and has nothing
+// to coalesce (Exchanges == Messages/2). Logical message counts are
+// untouched either way.
 func TestRoundCoalescing(t *testing.T) {
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 300, M: 4, Seed: 3})
 	lb, err := transport.NewLoopback(db)
@@ -227,6 +229,13 @@ func TestRoundCoalescing(t *testing.T) {
 			if res.Net.Exchanges >= logical {
 				t.Errorf("%s: coalescing did not reduce exchanges (%d wire vs %d logical)",
 					p.name, res.Net.Exchanges, logical)
+			}
+		case "dist-bpa2":
+			if res.Net.Exchanges != 550 {
+				t.Errorf("%s: exchanges = %d, want 550", p.name, res.Net.Exchanges)
+			}
+			if bound := int64(res.Net.Rounds) * m * (m + 1) / 2; res.Net.Exchanges > bound {
+				t.Errorf("%s: exchanges = %d, want at most %d (m(m+1)/2 per round)", p.name, res.Net.Exchanges, bound)
 			}
 		default:
 			if res.Net.Exchanges != logical {
