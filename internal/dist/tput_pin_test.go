@@ -65,11 +65,34 @@ func tputPin(res *Result) string {
 		math.Float64bits(res.Threshold), res.StopPosition)
 }
 
+// halfGaussianDB is a seeded database of |N(0,1)| scores: TPUT needs
+// non-negative scores, and full-mantissa values spread over several
+// binades make a sum's float order show in its low bits.
+func halfGaussianDB(t testing.TB, n, m int, seed int64) *list.Database {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cols := make([][]float64, m)
+	for i := range cols {
+		cols[i] = make([]float64, n)
+		for d := range cols[i] {
+			cols[i][d] = math.Abs(rng.NormFloat64())
+		}
+	}
+	db, err := list.FromColumns(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 // TestTPUTPinned holds TPUT and TPUT-A to the answers and accounting
-// they produced before the originator's bookkeeping became a row-major
-// table, bit for bit, for k in {1, 10, 50}: on a seeded uniform
-// database (phase 2 resolves everything), a correlated one (phase 3
-// fetches) and one full of exact zeros and ties.
+// recorded from earlier originator bookkeeping, bit for bit, for k in
+// {1, 10, 50}: on seeded uniform databases over m = 2, 4 and 8 lists
+// (phase 2 resolves everything), a half-Gaussian one, a correlated one
+// (phase 3 fetches) and one full of exact zeros and ties. The first
+// pins date from before the score table became row-major; the m = 2,
+// m = 8 and half-Gaussian pins from before it became column-major with
+// per-item sums folded in list order.
 func TestTPUTPinned(t *testing.T) {
 	want := map[string]string{
 		"correlated/tput-a/k=1":  "items=1/5ab756392cfa2e75 net=24/40/3/12/[6 6 6 6] acc=12/12/0 thr=4000000000000000 stop=3",
@@ -90,11 +113,32 @@ func TestTPUTPinned(t *testing.T) {
 		"zeros-ties/tput/k=1":    "items=1/90c79195ec909e15 net=18/60446/3/9/[4 4 4 6] acc=30119/108/0 thr=4005000000000000 stop=10075",
 		"zeros-ties/tput/k=10":   "items=10/5add3288e128005c net=18/60316/3/9/[4 4 4 6] acc=30119/43/0 thr=4005000000000000 stop=10075",
 		"zeros-ties/tput/k=50":   "items=50/285a01e858009d16 net=18/60736/3/9/[4 4 4 6] acc=30152/220/0 thr=4003000000000000 stop=10075",
+		"gaussian/tput-a/k=1":    "items=1/c66156ef8b9545c8 net=18/34216/3/9/[4 6 4 4] acc=17111/1/0 thr=40225073c140ee80 stop=4336",
+		"gaussian/tput-a/k=10":   "items=10/01ce2c3e8ac893c0 net=24/55400/3/12/[6 6 6 6] acc=27686/18/0 thr=401f38e56d8af9c4 stop=7002",
+		"gaussian/tput-a/k=50":   "items=50/7faaf7c042b952fa net=24/62708/3/12/[6 6 6 6] acc=31276/82/0 thr=401c89d4e39ce766 stop=7878",
+		"gaussian/tput/k=1":      "items=1/c66156ef8b9545c8 net=18/34216/3/9/[4 6 4 4] acc=17111/1/0 thr=40225073c140ee80 stop=4336",
+		"gaussian/tput/k=10":     "items=10/01ce2c3e8ac893c0 net=24/55400/3/12/[6 6 6 6] acc=27686/18/0 thr=401f38e56d8af9c4 stop=7002",
+		"gaussian/tput/k=50":     "items=50/7faaf7c042b952fa net=24/62708/3/12/[6 6 6 6] acc=31276/82/0 thr=401c89d4e39ce766 stop=7878",
+		"uniform-m2/tput-a/k=1":  "items=1/41c3808cce52f0df net=8/40244/3/4/[4 4] acc=20124/0/0 thr=3fffeda0e49adf02 stop=10126",
+		"uniform-m2/tput-a/k=10": "items=10/728d9bf409c49feb net=8/40254/3/4/[4 4] acc=20129/0/0 thr=3fff72f8499ba398 stop=10128",
+		"uniform-m2/tput-a/k=50": "items=50/3f85383355a7f413 net=8/40306/3/4/[4 4] acc=20155/0/0 thr=3ffecda3b09af6da stop=10142",
+		"uniform-m2/tput/k=1":    "items=1/41c3808cce52f0df net=8/40244/3/4/[4 4] acc=20124/0/0 thr=3fffeda0e49adf02 stop=10126",
+		"uniform-m2/tput/k=10":   "items=10/728d9bf409c49feb net=8/40254/3/4/[4 4] acc=20129/0/0 thr=3fff72f8499ba398 stop=10128",
+		"uniform-m2/tput/k=50":   "items=50/3f85383355a7f413 net=8/40306/3/4/[4 4] acc=20155/0/0 thr=3ffecda3b09af6da stop=10142",
+		"uniform-m8/tput-a/k=1":  "items=1/cd5cfdfeedf8da32 net=32/280180/3/16/[4 4 4 4 4 4 4 4] acc=140098/0/0 thr=401b6506522ce2ac stop=17570",
+		"uniform-m8/tput-a/k=10": "items=10/5166b2b0f743a3a4 net=32/280184/3/16/[4 4 4 4 4 4 4 4] acc=140100/0/0 thr=401a0696098b563e stop=17570",
+		"uniform-m8/tput-a/k=50": "items=50/802012bc17b55d17 net=36/280202/3/18/[4 4 4 6 6 4 4 4] acc=140107/2/0 thr=4018b6bccf7982c0 stop=17572",
+		"uniform-m8/tput/k=1":    "items=1/cd5cfdfeedf8da32 net=32/280180/3/16/[4 4 4 4 4 4 4 4] acc=140098/0/0 thr=401b6506522ce2ac stop=17570",
+		"uniform-m8/tput/k=10":   "items=10/5166b2b0f743a3a4 net=32/280184/3/16/[4 4 4 4 4 4 4 4] acc=140100/0/0 thr=401a0696098b563e stop=17570",
+		"uniform-m8/tput/k=50":   "items=50/802012bc17b55d17 net=36/280202/3/18/[4 4 4 6 6 4 4 4] acc=140107/2/0 thr=4018b6bccf7982c0 stop=17572",
 	}
 	dbs := map[string]*list.Database{
 		"uniform":    gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 20_000, M: 4, Seed: 31}),
 		"correlated": gen.MustGenerate(gen.Spec{Kind: gen.Correlated, N: 20_000, M: 4, Alpha: 0.5, Seed: 37}),
 		"zeros-ties": zerosAndTiesDB(t),
+		"uniform-m2": gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 20_000, M: 2, Seed: 41}),
+		"uniform-m8": gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 20_000, M: 8, Seed: 43}),
+		"gaussian":   halfGaussianDB(t, 20_000, 4, 47),
 	}
 	algs := map[string]func(*list.Database, Options) (*Result, error){"tput": TPUT, "tput-a": TPUTA}
 	for dbName, db := range dbs {
