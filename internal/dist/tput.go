@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"topk/internal/list"
-	"topk/internal/rank"
 	"topk/internal/score"
 	"topk/internal/transport"
 )
@@ -68,16 +68,32 @@ func uniformThresholds(tau1 float64, boundary []float64) []float64 {
 // tputRun is the three-phase skeleton shared by TPUT and TPUTA; only the
 // phase-2 threshold split differs.
 //
-// The originator keeps what it learns in one row-major table of n·m
-// scores: cell d·m+i is item d's score in list i, or unknownScore until
-// an owner reports it, plus a per-item count of known cells. Bounding an
-// item reads one contiguous row, and every pass over the seen items
-// sweeps the table in item order, so the passes read it sequentially
-// (a seen item is one with a known cell). Owner data is checked before it enters
-// the table: every phase-1/2 entry needs an item in [0,n), and every
-// reported score must be finite and non-negative — the precondition
-// TPUT's bounds rest on, and what keeps a reported score from reading as
-// unknown. A violation fails the query with an error naming the owner.
+// The originator keeps what it learns in one column-major table of n·m
+// scores — cell i·n+d is item d's score in list i, or unknownScore until
+// an owner reports it — beside a per-item sum acc of the known scores.
+// Each list's entries scatter into that list's own column and into acc,
+// nothing else. The sums must equal Sum.Combine over the
+// list-ordered locals bit for bit (the centralized oracle's arithmetic),
+// and Combine starts at +0 where a skipped unknown adds +0, so:
+//
+//   - phase-2 entries are folded into acc as they arrive — responses are
+//     handled in list order, so an item first reported in phase 2 is
+//     summed in list order with no further work;
+//   - the at most m·k items phase 1 reported, whose sums would otherwise
+//     start with a later list's phase-1 score, are re-summed from their
+//     cells in list order after phase 2, and the phase-3 fetched items
+//     after phase 3.
+//
+// τ1 ranks the phase-1 items only and τ2 is one pass over acc. One
+// sweep of the table in item order (m sequential column streams) then
+// counts each item's known cells and bounds it: fully known items reach
+// the answer set, partly known ones within reach of τ2 are the phase-3
+// candidates. No other pass reads the whole table. Owner data is
+// checked before it enters the table: every phase-1/2 entry needs an
+// item in [0,n), and every reported score must be finite and
+// non-negative — the precondition TPUT's bounds rest on, and what keeps
+// a reported score from reading as unknown. A violation fails the query
+// with an error naming the owner.
 func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thresholdRule) (*Result, error) {
 	r, err := newRunner(ctx, t, opts)
 	if err != nil {
@@ -100,56 +116,38 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 		}
 	}
 
-	// Originator bookkeeping: the row-major score table and the known
-	// count per item.
+	// Originator bookkeeping: the column-major score table, the
+	// known-score sum per item, and the items phase 1 reported.
 	cells := make([]float64, n*m)
 	for c := range cells {
 		cells[c] = unknownScore
 	}
-	knownCnt := make([]int32, n)
-	add := func(i int, e list.Entry) error {
-		if e.Item < 0 || int(e.Item) >= n {
-			return fmt.Errorf("dist: owner %d returned item %d outside [0,%d)", i, e.Item, n)
-		}
-		if err := checkScore(i, e.Item, e.Score); err != nil {
-			return err
-		}
-		c := &cells[int(e.Item)*m+i]
-		if *c != unknownScore {
-			return nil
-		}
-		*c = e.Score
-		knownCnt[e.Item]++
-		return nil
-	}
-	// bound combines an item's known scores with fill[i] substituted for
-	// the unknown ones — fill 0 gives the partial-sum lower bound, the
-	// phase-2 threshold of list i its phase-two upper bound. Combining in
-	// list order keeps the float arithmetic bit-identical to the
-	// centralized algorithms, so fully resolved scores match the oracle
-	// exactly.
-	locals := make([]float64, m)
-	bound := func(d list.ItemID, fill []float64) float64 {
-		for i, v := range cells[int(d)*m : int(d)*m+m] {
+	acc := make([]float64, n)
+	var phase1 []list.ItemID
+	// sum combines item d's known scores in list order with fill[i]
+	// substituted for the unknown ones — fill 0 gives the partial-sum
+	// lower bound, the phase-2 thresholds the phase-3 upper bound — and
+	// counts the unknown ones.
+	sum := func(d list.ItemID, fill []float64) (t float64, unknown int) {
+		for i, c := 0, int(d); i < m; i, c = i+1, c+n {
+			v := cells[c]
 			if v == unknownScore {
 				v = fill[i]
+				unknown++
 			}
-			locals[i] = v
+			t += v
 		}
-		return r.f.Combine(locals)
+		return t, unknown
 	}
 	zeros := make([]float64, m)
-	// kth returns the k-th highest partial sum. Phase 1 guarantees at
-	// least k distinct items (each owner contributes k).
-	kth := func() float64 {
-		set := rank.NewSet(k)
-		for d := range list.ItemID(n) {
-			if knownCnt[d] > 0 {
-				set.Add(d, bound(d, zeros))
-			}
+	seen := func(d list.ItemID) bool {
+		_, unknown := sum(d, zeros)
+		return unknown < m
+	}
+	resum := func(items []list.ItemID) {
+		for _, d := range items {
+			acc[d], _ = sum(d, zeros)
 		}
-		t, _ := set.Threshold()
-		return t
 	}
 
 	// Phase 1: top-k fetch. boundary[i] is owner i's k-th prefix score,
@@ -172,17 +170,29 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 		if len(tr.Entries) != k {
 			return nil, fmt.Errorf("dist: owner %d returned %d phase-1 entries, want %d", i, len(tr.Entries), k)
 		}
+		col := cells[i*n : i*n+n]
 		for _, e := range tr.Entries {
-			if err := add(i, e); err != nil {
+			if err := checkEntry(i, n, e); err != nil {
 				return nil, err
+			}
+			if c := &col[e.Item]; *c == unknownScore {
+				if !seen(e.Item) {
+					phase1 = append(phase1, e.Item)
+				}
+				*c = e.Score
 			}
 		}
 		boundary[i] = tr.Entries[k-1].Score
 	}
-	tau1 := kth()
-	T := rule(tau1, boundary)
+	resum(phase1)
+	tau1 := newKth(k)
+	for _, d := range phase1 {
+		tau1.push(acc[d])
+	}
+	T := rule(tau1.value(), boundary)
 
-	// Phase 2: threshold scan, one threshold per list.
+	// Phase 2: threshold scan, one threshold per list, folded into acc
+	// in list order as the responses are read.
 	r.nw.net.Rounds++
 	aboveCalls := make([]transport.Call, m)
 	for i := range aboveCalls {
@@ -197,26 +207,49 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 		if err != nil {
 			return nil, err
 		}
+		col := cells[i*n : i*n+n]
 		for _, e := range ar.Entries {
-			if err := add(i, e); err != nil {
+			if err := checkEntry(i, n, e); err != nil {
 				return nil, err
+			}
+			if c := &col[e.Item]; *c == unknownScore {
+				*c = e.Score
+				acc[e.Item] += e.Score
 			}
 		}
 	}
-	tau2 := kth()
+	resum(phase1)
+	kth := newKth(k)
+	for d, v := range acc {
+		if kth.admits(v) && seen(list.ItemID(d)) {
+			kth.push(v)
+		}
+	}
+	tau2 := kth.value()
 
 	// Phase 3: resolve the candidates exactly. An unknown score in list i
 	// is < T[i] after phase 2, so sum + per-list thresholds bounds an
-	// item from above.
+	// item from above. One sweep in item order ranks the items already
+	// resolved and lists the candidates in ascending item order. Every
+	// true top-k item is resolved here or in the fetch: the unresolved
+	// ones are bounded strictly below τ2 while at least k resolved items
+	// reach it, so no item below τ2 can enter the answer.
 	r.nw.net.Rounds++
 	missing := make([][]list.ItemID, m)
+	var fetched []list.ItemID
 	for d := range list.ItemID(n) {
-		if knownCnt[d] == 0 || int(knownCnt[d]) == m || bound(d, T) < tau2 {
-			continue
-		}
-		for i, v := range cells[int(d)*m : int(d)*m+m] {
-			if v == unknownScore {
-				missing[i] = append(missing[i], d)
+		ub, unknown := sum(d, T)
+		switch {
+		case unknown == 0:
+			if acc[d] >= tau2 {
+				r.y.Add(d, acc[d])
+			}
+		case unknown < m && ub >= tau2:
+			fetched = append(fetched, d)
+			for i := 0; i < m; i++ {
+				if cells[i*n+int(d)] == unknownScore {
+					missing[i] = append(missing[i], d)
+				}
 			}
 		}
 	}
@@ -244,34 +277,88 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 			if err := checkScore(i, d, fr.Scores[j]); err != nil {
 				return nil, err
 			}
-			cells[int(d)*m+i] = fr.Scores[j]
-			knownCnt[d]++
+			cells[i*n+int(d)] = fr.Scores[j]
 		}
 	}
-
-	// Every true top-k item is fully resolved: the unresolved ones are
-	// bounded strictly below τ2 while k resolved items reach it.
-	for d := range list.ItemID(n) {
-		if int(knownCnt[d]) == m {
-			r.y.Add(d, bound(d, zeros))
+	resum(fetched)
+	for _, d := range fetched {
+		if acc[d] >= tau2 {
+			r.y.Add(d, acc[d])
 		}
 	}
 	res := &Result{Threshold: tau2}
-	sts, err = r.stats()
-	if err != nil {
+	if sts, err = r.stats(); err != nil {
 		return nil, err
 	}
 	for _, st := range sts {
-		if st.Depth > res.StopPosition {
-			res.StopPosition = st.Depth
-		}
+		res.StopPosition = max(res.StopPosition, st.Depth)
 	}
-	return r.finish(res)
+	return r.assemble(res, sts), nil
+}
+
+// kthLargest tracks the k-th largest of the values pushed into it: a
+// k-sized min-heap of scores. Ties do not change the value, so it is
+// the threshold a rank.Set of the same scores would report.
+type kthLargest struct {
+	k int
+	h []float64
+}
+
+func newKth(k int) *kthLargest { return &kthLargest{k: k, h: make([]float64, 0, k)} }
+
+// admits reports whether pushing v could change the k-th largest value.
+func (q *kthLargest) admits(v float64) bool { return len(q.h) < q.k || v > q.h[0] }
+
+func (q *kthLargest) push(v float64) {
+	if len(q.h) < q.k {
+		q.h = append(q.h, v)
+		if len(q.h) == q.k {
+			slices.Sort(q.h) // ascending order is a valid min-heap
+		}
+		return
+	}
+	if v <= q.h[0] {
+		return
+	}
+	q.h[0] = v
+	for j := 0; ; {
+		c := 2*j + 1
+		if c >= len(q.h) {
+			return
+		}
+		if c+1 < len(q.h) && q.h[c+1] < q.h[c] {
+			c++
+		}
+		if q.h[j] <= q.h[c] {
+			return
+		}
+		q.h[j], q.h[c] = q.h[c], q.h[j]
+		j = c
+	}
+}
+
+// value returns the k-th largest value pushed, or -Inf before k values
+// have been.
+func (q *kthLargest) value() float64 {
+	if len(q.h) < q.k {
+		return math.Inf(-1)
+	}
+	return q.h[0]
 }
 
 // unknownScore marks a cell of TPUT's score table no owner has reported:
 // checkScore admits only non-negative scores, so no real score equals it.
 const unknownScore = -1.0
+
+// checkEntry rejects a phase-1/2 entry owner i reported whose item lies
+// outside [0,n) or whose score checkScore rejects. A repeated report of
+// a known cell passes and is ignored by the caller.
+func checkEntry(i, n int, e list.Entry) error {
+	if e.Item < 0 || int(e.Item) >= n {
+		return fmt.Errorf("dist: owner %d returned item %d outside [0,%d)", i, e.Item, n)
+	}
+	return checkScore(i, e.Item, e.Score)
+}
 
 // checkScore rejects a score owner i reported for item d that TPUT's
 // non-negative-score precondition rules out.

@@ -7,10 +7,14 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"topk/internal/bestpos"
+	"topk/internal/core"
 	"topk/internal/gen"
 	"topk/internal/list"
 	"topk/internal/score"
@@ -153,6 +157,93 @@ func TestTPUTPinned(t *testing.T) {
 					t.Errorf("%q: %q, want %q", name, got, want[name])
 				}
 			}
+		}
+	}
+}
+
+// TestTPUTSumsInListOrder: an answer item that phase 1 reports from a
+// later list and phase 2 from the earlier ones must still be summed in
+// list order. Item 0 scores a, b, c in lists 0, 1, 2. It tops list 2,
+// so phase 1 reports it there; lists 0 and 1 top it with items 1 and 2
+// (0.9 each), so τ1 = 0.9 and both report item 0 only in the phase-2
+// scan above T = 0.3. Its scores are chosen so that (a+b)+c, the
+// list-order sum, differs from the arrival-order (c+a)+b in float64.
+func TestTPUTSumsInListOrder(t *testing.T) {
+	// Variables, not constants: Go folds constant expressions exactly.
+	a, b, c := 0.58, 0.65, 0.51
+	if x, y := (a+b)+c, a+(b+c); x == y {
+		t.Fatalf("(a+b)+c == a+(b+c) == %v: the scores do not expose float order", x)
+	}
+	inListOrder := score.Sum{}.Combine([]float64{a, b, c})
+	if arrival := (c + a) + b; arrival == inListOrder {
+		t.Fatalf("arrival-order sum equals the list-order one: %v", arrival)
+	}
+	db, err := list.FromColumns([][]float64{
+		{a, 0.9, 0.1, 0.05, 0.04, 0.03},
+		{b, 0.1, 0.9, 0.05, 0.04, 0.03},
+		{c, 0.2, 0.2, 0.05, 0.04, 0.03},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Run(core.AlgNaive, db, core.Options{K: 1, Scoring: score.Sum{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Items) != 1 || want.Items[0].Item != 0 || math.Float64bits(want.Items[0].Score) != math.Float64bits(inListOrder) {
+		t.Fatalf("oracle answers %+v, want item 0 scoring %v", want.Items, inListOrder)
+	}
+	for name, run := range map[string]func(*list.Database, Options) (*Result, error){"tput": TPUT, "tput-a": TPUTA} {
+		res, err := run(db, Options{K: 1, Scoring: score.Sum{}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Net.PerOwner[0] != 4 || res.Net.PerOwner[1] != 4 {
+			t.Fatalf("%s: lists 0 and 1 exchanged %v messages, want 4 each (no phase-3 fetch)", name, res.Net.PerOwner)
+		}
+		if len(res.Items) != 1 || res.Items[0].Item != 0 ||
+			math.Float64bits(res.Items[0].Score) != math.Float64bits(inListOrder) {
+			t.Errorf("%s answers %+v, want item 0 scoring %v (list order), not %v (arrival order)",
+				name, res.Items, inListOrder, (c+a)+b)
+		}
+	}
+}
+
+// TestTPUTStatsRequestsPerQuery counts the GET /stats round trips one
+// TPUT query makes over an HTTP cluster: one gather for the list minima
+// before phase 1 and one after phase 3 for the accesses and depths —
+// 2m, not a third gather for the result's common fields.
+func TestTPUTStatsRequestsPerQuery(t *testing.T) {
+	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 2_000, M: 4, Seed: 9})
+	var stats atomic.Int64
+	urls := make([]string, db.M())
+	for i := range urls {
+		srv, err := transport.NewServer(db, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/stats" {
+				stats.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	hc, err := transport.DialOwners(urls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hc.Close() })
+	for name, run := range map[string]func(context.Context, transport.Transport, Options) (*Result, error){"tput": TPUTOver, "tput-a": TPUTAOver} {
+		before := stats.Load()
+		if _, err := run(context.Background(), hc, Options{K: 10, Scoring: score.Sum{}}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := stats.Load()-before, int64(2*db.M()); got != want {
+			t.Errorf("%s: %d GET /stats per query, want %d", name, got, want)
 		}
 	}
 }

@@ -173,6 +173,13 @@ func (l *List) ScoreOf(d ItemID) float64 {
 	return l.entries[l.PositionOf(d)-1].Score
 }
 
+// SeekScore returns the first 1-based position whose score is strictly
+// below t, or Len()+1 when every score is >= t: a binary search over the
+// sorted entries, which lets a threshold scan size its output up front.
+func (l *List) SeekScore(t float64) int {
+	return 1 + sort.Search(len(l.entries), func(i int) bool { return l.entries[i].Score < t })
+}
+
 // Entries returns a copy of the list contents in position order.
 func (l *List) Entries() []Entry {
 	cp := make([]Entry, len(l.entries))

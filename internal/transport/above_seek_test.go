@@ -19,25 +19,44 @@ import (
 // List.SeekScore (a fence binary search instead of a positional walk),
 // and every response — entries, nil-vs-empty shape, and the session
 // depth the next call resumes from — must be bit-identical to the plain
-// positional loop a RAM-backed owner runs. The charged-read rule is the
-// subtle part: even when the whole remaining tail is below T, the plain
-// loop spends exactly one sorted access discovering that, so the seek
-// path must perform (and charge) that read too.
+// positional loop an owner over a list without SeekScore runs. The
+// charged-read rule is the subtle part: even when the whole remaining
+// tail is below T, the plain loop spends exactly one sorted access
+// discovering that, so the seek path must perform (and charge) that
+// read too.
 func TestAboveSeekScoreParity(t *testing.T) {
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 200, M: 1, Seed: 5})
-	disk := stripeBacked(t, db)
+	aboveSeekParity(t, db, stripeBacked(t, db))
+}
 
-	ram, err := NewOwner(db, 0)
+// TestAboveRAMSeekParity holds the RAM fast path of the above scan —
+// *list.List's binary-search SeekScore, which sizes the reply up front —
+// to the same plain positional loop, scenario for scenario.
+func TestAboveRAMSeekParity(t *testing.T) {
+	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 200, M: 1, Seed: 5})
+	aboveSeekParity(t, db, db)
+}
+
+// aboveSeekParity runs the above-scan scenarios against an owner over
+// seek, a seek-capable copy of the one-list db, and a reference owner
+// over a plain-loop copy, and requires identical responses.
+func aboveSeekParity(t *testing.T, db, seek *list.Database) {
+	t.Helper()
+	if _, ok := seek.List(0).(scoreSeeker); !ok {
+		t.Fatal("list under test does not implement SeekScore")
+	}
+	ref, err := NewOwner(plainBacked(t, db), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seek, err := NewOwner(disk, 0)
+	fast, err := NewOwner(seek, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	n := db.N()
 	top := db.List(0).At(1).Score
-	mid := db.List(0).At(100).Score
+	mid := db.List(0).At(n / 2).Score
 	scenarios := []struct {
 		name string
 		reqs []Request
@@ -51,29 +70,47 @@ func TestAboveSeekScoreParity(t *testing.T) {
 			SortedReq{Pos: 1}, SortedReq{Pos: 2}, SortedReq{Pos: 3},
 			AboveReq{T: mid}, AboveReq{T: top + 1}, AboveReq{T: -1},
 		}},
-		{"threshold-at-last-score", []Request{AboveReq{T: db.List(0).At(200).Score}}},
+		{"threshold-at-last-score", []Request{AboveReq{T: db.List(0).At(n).Score}}},
 		{"threshold-at-first-score", []Request{AboveReq{T: top}}},
 	}
 	for i, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			sid := fmt.Sprintf("parity-%d", i)
-			for _, o := range []*Owner{ram, seek} {
+			for _, o := range []*Owner{ref, fast} {
 				if err := o.Open(sid, bestpos.BitArrayKind); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for j, req := range sc.reqs {
-				want, werr := ram.Handle(sid, req)
-				got, gerr := seek.Handle(sid, req)
+				want, werr := ref.Handle(sid, req)
+				got, gerr := fast.Handle(sid, req)
 				if werr != nil || gerr != nil {
-					t.Fatalf("req %d: ram %v, stripe %v", j, werr, gerr)
+					t.Fatalf("req %d: plain %v, seek %v", j, werr, gerr)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("req %d (%#v): responses diverge:\n stripe %#v\n ram    %#v", j, req, got, want)
+					t.Fatalf("req %d (%#v): responses diverge:\n seek  %#v\n plain %#v", j, req, got, want)
 				}
 			}
 		})
 	}
+}
+
+// plainBacked serves db's first list through a *list.Mutable, which has
+// no SeekScore, so its owner runs the plain positional above-scan loop.
+func plainBacked(t *testing.T, db *list.Database) *list.Database {
+	t.Helper()
+	mut, err := list.MutableFromReader(db.List(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := list.Reader(mut).(scoreSeeker); ok {
+		t.Fatal("mutable list implements SeekScore; no plain loop to compare against")
+	}
+	plain, err := list.NewReaderDatabase(mut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plain
 }
 
 // stripeBacked serves db's lists from an in-memory stripe file with
@@ -94,13 +131,8 @@ func stripeBacked(t *testing.T, db *list.Database) *list.Database {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The stripe cases are only meaningful if the two backings genuinely
-	// take different paths.
 	if _, ok := disk.List(0).(scoreSeeker); !ok {
 		t.Fatal("stripe list does not implement SeekScore; fast path untested")
-	}
-	if _, ok := db.List(0).(scoreSeeker); ok {
-		t.Fatal("RAM list implements SeekScore; no plain loop to compare against")
 	}
 	return disk
 }
@@ -108,12 +140,12 @@ func stripeBacked(t *testing.T, db *list.Database) *list.Database {
 // TestReceiptsSumToSessionStats: whatever the request kinds, the
 // receipts an owner returns must add up to the session's own tally —
 // accesses summed, depth and best position as of the last exchange, and
-// the seen positions exactly the tracker's — on RAM lists and on
-// seek-capable stripe lists alike. The pinned totals hold the
-// above-scan charging rule: the read that stops a scan below T is
-// charged, a scan that runs off the end charges no extra read, and a
-// scan of an exhausted list charges nothing; an empty probe charges
-// nothing either.
+// the seen positions exactly the tracker's — on plain-loop mutable
+// lists and on seek-capable RAM and stripe lists alike. The pinned
+// totals hold the above-scan charging rule: the read that stops a scan
+// below T is charged, a scan that runs off the end charges no extra
+// read, and a scan of an exhausted list charges nothing; an empty probe
+// charges nothing either.
 func TestReceiptsSumToSessionStats(t *testing.T) {
 	const n = 20
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: n, M: 1, Seed: 5})
@@ -149,7 +181,7 @@ func TestReceiptsSumToSessionStats(t *testing.T) {
 	for _, backing := range []struct {
 		name string
 		db   *list.Database
-	}{{"ram", db}, {"stripe", stripeBacked(t, db)}} {
+	}{{"plain", plainBacked(t, db)}, {"ram", db}, {"stripe", stripeBacked(t, db)}} {
 		o, err := NewOwner(backing.db, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -821,10 +821,12 @@ func (o *Owner) handleTopK(ctx context.Context, s *ownerSession, req TopKReq) (R
 	return TopKResp{Entries: out}, nil
 }
 
-// scoreSeeker is the optional fast path of the above scan: stripe-backed
+// scoreSeeker is the optional fast path of the above scan: immutable
 // lists resolve the first position whose score falls strictly below a
-// threshold by fence-pointer binary search, without loading a single
-// block (see internal/store/stripe and ROADMAP 3c).
+// threshold by binary search — *list.List over its entries, stripe-backed
+// lists over their fence pointers without loading a single block (see
+// internal/store/stripe and ROADMAP 3c). A *list.Mutable does not seek:
+// its snapshot can change between the seek and the scan.
 type scoreSeeker interface {
 	SeekScore(t float64) int
 }
@@ -836,11 +838,12 @@ type scoreSeeker interface {
 // handler whose work can span a whole list tail.
 //
 // On seek-capable lists the cutoff — the position of that charged
-// terminating read — is known up front from the fence index, which
-// bounds the scan without touching a block past it and sizes the reply
-// exactly. Every read the plain loop would perform still happens, in
-// the same order, through the same probe, so the accounting is
-// identical by construction (the stripe parity suite pins this).
+// terminating read — is known up front from the list's seek (on stripe
+// lists the fence index, which bounds the scan without touching a block
+// past it), so the reply is sized exactly instead of grown. Every read
+// the plain loop would perform still happens, in the same order, through
+// the same probe, so the accounting is identical by construction (the
+// above-seek parity tests pin this for RAM and stripe lists).
 func (o *Owner) handleAbove(ctx context.Context, s *ownerSession, req AboveReq) (Response, error) {
 	if sk, ok := o.db.List(0).(scoreSeeker); ok {
 		cut := sk.SeekScore(req.T) // first position with score < T; n+1 when none
