@@ -205,9 +205,12 @@
 //	round-robin  healthy replicas, rotating
 //	fastest      healthy replica with lowest EWMA
 //
-// Query sessions open on every replica of every list, so failover never
-// loses session identity; cursor-bearing ("sessionful") traffic pins
-// each session to one replica per list, chosen by the policy. What a
+// A query session opens at a replica with the first exchange (or
+// handoff sync) that reaches it, so a query costs its exchanges plus
+// one close per replica it contacted, and a sibling that takes over
+// traffic mid-query opens the session then; cursor-bearing
+// ("sessionful") traffic pins each session to one replica per list,
+// chosen by the policy. What a
 // replica crash does mid-query depends on what the traffic was and on
 // the recovery machinery below:
 //

@@ -194,7 +194,7 @@ func Owner(args []string, stdout, stderr io.Writer) int {
 	}
 	startPprof(d.pprofAddr, d.log)
 	onStarted := func(addr string) {
-		fmt.Fprintf(stdout, "topk-owner: listening on http://%s (endpoints: /rpc/{kind}?sid= /session/open /session/close /session/sync /stats /healthz /metrics)\n", addr)
+		fmt.Fprintf(stdout, "topk-owner: listening on http://%s (endpoints: /rpc/{kind}?sid=[&tracker=] /session/close /session/sync /stats /healthz /metrics)\n", addr)
 	}
 	// SIGTERM drains gracefully: stop admitting, let in-flight requests
 	// finish within the drain budget, then discard leftover sessions.

@@ -54,7 +54,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"topk/internal/access"
@@ -408,25 +407,16 @@ func as[T transport.Response](resp transport.Response) (T, error) {
 	return v, nil
 }
 
-// stats gathers the owners' control-plane bookkeeping for this session,
-// fanned out in parallel — uncharged, but over HTTP a serial loop would
-// still cost m real round-trips per query.
+// stats gathers the owners' uncharged bookkeeping for this session —
+// over HTTP the session answers from its receipts, without a wire call.
 func (r *runner) stats() ([]transport.OwnerStats, error) {
 	out := make([]transport.OwnerStats, r.m)
-	errs := make([]error, r.m)
-	var wg sync.WaitGroup
-	for i := 0; i < r.m; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i], errs[i] = r.sess.Stats(r.ctx, i)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	for i := range out {
+		st, err := r.sess.Stats(r.ctx, i)
 		if err != nil {
 			return nil, fmt.Errorf("dist: stats of owner %d: %w", i, err)
 		}
+		out[i] = st
 	}
 	return out, nil
 }

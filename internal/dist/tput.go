@@ -43,7 +43,8 @@ func TPUT(db *list.Database, opts Options) (*Result, error) {
 //
 // Both the missing-scores-are-0 lower bound and the uniform split of τ1
 // across lists assume f = Σ si over non-negative scores, so TPUT rejects
-// other scoring functions and databases with negative local scores.
+// other scoring functions, and its owners refuse phase 1 and 2 over a
+// list holding a negative score (transport.ErrNegativeScore).
 func TPUTOver(ctx context.Context, t transport.Transport, opts Options) (*Result, error) {
 	return tputRun(ctx, t, opts, uniformThresholds)
 }
@@ -104,17 +105,6 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 		return nil, fmt.Errorf("dist: TPUT requires Sum scoring, got %q", opts.Scoring.Name())
 	}
 	m, n, k := r.m, r.n, opts.K
-	sts, err := r.stats()
-	if err != nil {
-		return nil, err
-	}
-	for i, st := range sts {
-		// The list minimum is owner metadata (cf. core.ListFloors), not a
-		// charged access.
-		if st.MinScore < 0 {
-			return nil, fmt.Errorf("dist: TPUT requires non-negative scores, list %d has minimum %v", i, st.MinScore)
-		}
-	}
 
 	// Originator bookkeeping: the column-major score table, the
 	// known-score sum per item, and the items phase 1 reported.
@@ -287,7 +277,8 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 		}
 	}
 	res := &Result{Threshold: tau2}
-	if sts, err = r.stats(); err != nil {
+	sts, err := r.stats()
+	if err != nil {
 		return nil, err
 	}
 	for _, st := range sts {

@@ -210,9 +210,10 @@ func TestTPUTSumsInListOrder(t *testing.T) {
 }
 
 // TestTPUTStatsRequestsPerQuery counts the GET /stats round trips one
-// TPUT query makes over an HTTP cluster: one gather for the list minima
-// before phase 1 and one after phase 3 for the accesses and depths —
-// 2m, not a third gather for the result's common fields.
+// TPUT query makes over an HTTP cluster: none. The owners check the
+// non-negativity precondition themselves, and the accesses and depths
+// come from the exchanges' receipts, so /stats serves only the dial
+// handshake.
 func TestTPUTStatsRequestsPerQuery(t *testing.T) {
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 2_000, M: 4, Seed: 9})
 	var stats atomic.Int64
@@ -237,13 +238,20 @@ func TestTPUTStatsRequestsPerQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { hc.Close() })
+	if got, want := stats.Load(), int64(db.M()); got != want {
+		t.Fatalf("dial handshake made %d GET /stats, want %d", got, want)
+	}
 	for name, run := range map[string]func(context.Context, transport.Transport, Options) (*Result, error){"tput": TPUTOver, "tput-a": TPUTAOver} {
 		before := stats.Load()
-		if _, err := run(context.Background(), hc, Options{K: 10, Scoring: score.Sum{}}); err != nil {
+		res, err := run(context.Background(), hc, Options{K: 10, Scoring: score.Sum{}})
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got, want := stats.Load()-before, int64(2*db.M()); got != want {
-			t.Errorf("%s: %d GET /stats per query, want %d", name, got, want)
+		if got := stats.Load() - before; got != 0 {
+			t.Errorf("%s: %d GET /stats per query, want 0", name, got)
+		}
+		if res.Accesses.Total() == 0 {
+			t.Errorf("%s: no accesses reported without /stats", name)
 		}
 	}
 }

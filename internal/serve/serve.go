@@ -132,13 +132,18 @@ type errorBody struct {
 // (504), and everything else is the caller's own bad request (400).
 // Owner-side rejections (transport.RemoteError) count as upstream too:
 // the originator validated the query before any exchange, so a remote
-// refusal means cluster state drifted, not caller fault. A replica
+// refusal means cluster state drifted, not caller fault — except TPUT
+// over negative scores (transport.ErrNegativeScore), a precondition
+// only the owners can check, which stays the caller's 400. A replica
 // failing mid-query on non-failover-able traffic (topk.OwnerFailedError)
 // is likewise upstream: the client may simply retry the request — a
 // fresh query session pins to a live replica.
 func execStatus(err error) int {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusGatewayTimeout
+	}
+	if errors.Is(err, transport.ErrNegativeScore) {
+		return http.StatusBadRequest
 	}
 	var ofe *topk.OwnerFailedError
 	var re *transport.RemoteError

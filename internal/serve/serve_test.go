@@ -433,6 +433,10 @@ func TestExecStatus(t *testing.T) {
 		{fmt.Errorf("wrap: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
 		{fmt.Errorf("dist: exchange with owner 1: %w", &transport.RemoteError{Status: 500, Msg: "boom"}), http.StatusBadGateway},
 		{fmt.Errorf("dist: exchange with owner 0: %w", &transport.RemoteError{Status: 404, Msg: "unknown session"}), http.StatusBadGateway},
+		// TPUT over negative scores is refused by the owners but is the
+		// caller's choice of protocol: 400, over HTTP as in process.
+		{fmt.Errorf("dist: batched exchange: %w", &transport.RemoteError{Status: 422, Msg: "negative"}), http.StatusBadRequest},
+		{fmt.Errorf("dist: batched exchange: %w", transport.ErrNegativeScore), http.StatusBadRequest},
 		{fmt.Errorf("owner 2: %w", &url.Error{Op: "Post", URL: "http://x", Err: fmt.Errorf("connection refused")}), http.StatusBadGateway},
 		// A replica dying mid-query on pinned traffic is upstream too:
 		// the client can simply retry the request.

@@ -610,13 +610,16 @@ func decodeResponseFrame(b []byte, allowBatch bool) (Response, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		b, err := r.take(8 * n)
+		if err != nil {
+			return nil, nil, err
+		}
 		var scores []float64
-		for i := 0; i < n; i++ {
-			s, err := r.f64()
-			if err != nil {
-				return nil, nil, err
-			}
-			scores = append(scores, s)
+		if n > 0 {
+			scores = make([]float64, n)
+		}
+		for i := range scores {
+			scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 		resp = FetchResp{Scores: scores}
 	case codeUpdate:
@@ -682,10 +685,18 @@ func decodeEntries(r *reader) ([]list.Entry, error) {
 		// with append, so nil is what the owner handler produced.
 		return nil, nil
 	}
+	// One bounds-checked take covers every entry; the loop decodes from
+	// it directly.
+	b, err := r.take(12 * n)
+	if err != nil {
+		return nil, err
+	}
 	entries := make([]list.Entry, n)
 	for i := range entries {
-		if entries[i], err = r.entry(); err != nil {
-			return nil, err
+		e := b[12*i : 12*i+12]
+		entries[i] = list.Entry{
+			Item:  list.ItemID(int32(binary.LittleEndian.Uint32(e))),
+			Score: math.Float64frombits(binary.LittleEndian.Uint64(e[4:])),
 		}
 	}
 	return entries, nil

@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,25 +28,29 @@ import (
 // The HTTP backend: a real owner server (one list per process) and an
 // originator client. Every data-plane message carries its query session
 // ID in the `sid` query parameter, so one owner serves any number of
-// concurrent originators:
+// concurrent originators. A query costs its /rpc exchanges plus one
+// /session/close per replica it contacted: there is no open round trip
+// and no per-query /stats.
 //
-//	POST /session/open   control-plane: install fresh per-session state
-//	                     {sid, tracker}; idempotent per sid
-//	POST /session/close  control-plane: release a session's state {sid}
-//	POST /session/sync   control-plane: bring a sibling replica up to a
-//	                     session's state at handoff {sid, ranges, depth};
-//	                     idempotent, never charged
 //	POST /rpc/{kind}?sid=...  one exchange; the body is a request frame
 //	                     of the binary wire codec (kind "batch" carries
 //	                     a coalesced round for this owner), a 200
 //	                     answer is the response frame followed by the
 //	                     exchange's receipt frame — the accesses it
 //	                     charged, the positions it marked seen, and the
-//	                     session's depth and best position after it
-//	GET  /stats?sid=...  control-plane: the session's OwnerStats;
-//	                     without sid, the owner's list metadata
-//	                     (the dial handshake, which also reports the
-//	                     owner's replica identity)
+//	                     session's depth and best position after it.
+//	                     Until the replica acknowledges one, the
+//	                     session's exchanges add &tracker=KIND, which
+//	                     opens the session there if absent; without it
+//	                     an unknown sid is a 404 (restart or eviction)
+//	POST /session/close  control-plane: release a session's state {sid}
+//	POST /session/sync   control-plane: bring a sibling replica up to a
+//	                     session's state at handoff {sid, tracker,
+//	                     ranges, depth}, opening it there if absent;
+//	                     idempotent, never charged
+//	GET  /stats          control-plane: the owner's list metadata (the
+//	                     dial handshake, which also reports the owner's
+//	                     replica identity)
 //	POST /filter/set     live control-plane: install one standing
 //	                     query's notification filter {query, slack,
 //	                     watch} (see Owner.SetFilter)
@@ -87,7 +92,6 @@ func NewServer(db *list.Database, index int) (*Server, error) {
 	}
 	s := &Server{owner: o, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/rpc/", s.handleRPC)
-	s.mux.HandleFunc("/session/open", s.handleOpen)
 	s.mux.HandleFunc("/session/close", s.handleClose)
 	s.mux.HandleFunc("/session/sync", s.handleSync)
 	s.mux.HandleFunc("/filter/set", s.handleFilterSet)
@@ -150,15 +154,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v) // status line already out
 }
 
+// writeError writes the uniform error payload. A 429 — the owner
+// shedding load — carries the retry-after hint clients treat as
+// backpressure.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
+	if status == http.StatusTooManyRequests {
+		w.Header().Set(HeaderRetryAfterMs, strconv.FormatInt(DefaultRetryAfter.Milliseconds(), 10))
+	}
 	writeJSON(w, status, httpError{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeShed answers a request refused by admission control: 429 plus
-// the retry-after hint clients treat as backpressure.
-func writeShed(w http.ResponseWriter, format string, args ...any) {
-	w.Header().Set(HeaderRetryAfterMs, strconv.FormatInt(DefaultRetryAfter.Milliseconds(), 10))
-	writeError(w, http.StatusTooManyRequests, format, args...)
 }
 
 // writeFrame writes a data-plane response with its end-to-end frame
@@ -180,76 +183,27 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	sid := r.URL.Query().Get("sid")
-	if sid == "" {
-		// The dial handshake: list metadata, no session state.
-		writeJSON(w, http.StatusOK, s.owner.Info())
-		return
-	}
-	st, err := s.owner.SessionStats(sid)
-	if err != nil {
-		writeError(w, statusFor(err), "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, s.owner.Info())
 }
 
 // statusFor maps an owner error to its HTTP status: unknown sessions
 // are 404 (gone, not malformed), an expired deadline budget or vanished
 // caller is 504 (the owner abandoned the work, nobody's fault), an
-// overloaded owner is 429 (backpressure, safe to re-send), everything
-// else a caller-fault 400.
+// overloaded owner is 429 (backpressure, safe to re-send), a TPUT
+// request over negative scores is 422 (RemoteError unwraps it to
+// ErrNegativeScore), everything else a caller-fault 400.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownSession):
 		return http.StatusNotFound
+	case errors.Is(err, ErrNegativeScore):
+		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
 	}
 	return http.StatusBadRequest
-}
-
-// sessionBody is the /session/open and /session/close request payload.
-type sessionBody struct {
-	SID     string `json:"sid"`
-	Tracker uint8  `json:"tracker"`
-}
-
-func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
-	var body sessionBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad session body: %v", err)
-		return
-	}
-	kind := bestpos.Kind(body.Tracker)
-	found := false
-	for _, k := range bestpos.Kinds() {
-		if k == kind {
-			found = true
-			break
-		}
-	}
-	if !found {
-		writeError(w, http.StatusBadRequest, "unknown tracker kind %d", body.Tracker)
-		return
-	}
-	if body.SID == "" {
-		writeError(w, http.StatusBadRequest, "empty session ID")
-		return
-	}
-	if err := s.owner.Open(body.SID, kind); err != nil {
-		// The session limit is owner overload, not a malformed request:
-		// shed with the retry-after backpressure hint.
-		writeShed(w, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
@@ -266,14 +220,16 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// syncBody is the /session/sync request payload: the replicable state
-// of one (session, list) pair as the originator holds it, the seen
-// positions compressed into Ranges ([lo,hi] inclusive) plus the scan
-// Depth.
-type syncBody struct {
-	SID    string   `json:"sid"`
-	Ranges [][2]int `json:"ranges,omitempty"`
-	Depth  int      `json:"depth,omitempty"`
+// sessionBody is the /session/sync and /session/close request payload.
+// A sync carries the replicable state of one (session, list) pair as
+// the originator holds it — the tracker kind, the seen positions
+// compressed into Ranges ([lo,hi] inclusive) and the scan Depth; a
+// close reads only SID.
+type sessionBody struct {
+	SID     string   `json:"sid"`
+	Tracker uint8    `json:"tracker,omitempty"`
+	Ranges  [][2]int `json:"ranges,omitempty"`
+	Depth   int      `json:"depth,omitempty"`
 }
 
 // handleSync applies a handoff state transfer (see Owner.SyncSession).
@@ -282,7 +238,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	var body syncBody
+	var body sessionBody
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		writeError(w, http.StatusBadRequest, "bad sync body: %v", err)
 		return
@@ -291,7 +247,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty session ID")
 		return
 	}
-	if err := s.owner.SyncSession(body.SID, body.Ranges, body.Depth); err != nil {
+	if err := s.owner.SyncSession(body.SID, bestpos.Kind(body.Tracker), body.Ranges, body.Depth); err != nil {
 		writeError(w, statusFor(err), "%v", err)
 		return
 	}
@@ -385,9 +341,10 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnsupportedMediaType, "transport: /rpc bodies must be %s, got %q", ContentTypeBinary, ct)
 		return
 	}
-	sid := r.URL.Query().Get("sid")
+	q := r.URL.Query()
+	sid := q.Get("sid")
 	if sid == "" {
-		writeError(w, http.StatusBadRequest, "missing sid parameter (open a session first)")
+		writeError(w, http.StatusBadRequest, "missing sid parameter")
 		return
 	}
 	kind := Kind(strings.TrimPrefix(r.URL.Path, "/rpc/"))
@@ -395,7 +352,7 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	// shed exchange ran nothing, which is what makes the 429 safe to
 	// re-send even for non-replayable kinds.
 	if !s.owner.TryAcquire() {
-		writeShed(w, "transport: %v: %s exchange shed", ErrOverloaded, kind)
+		writeError(w, http.StatusTooManyRequests, "transport: %v: %s exchange shed", ErrOverloaded, kind)
 		return
 	}
 	defer s.owner.Release()
@@ -450,6 +407,21 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 		mOwnerExchanges[kind].Inc()
 		mOwnerExchangeSec[kind].Observe(time.Since(start).Seconds())
 	}()
+	if v := q.Get("tracker"); v != "" {
+		// The first exchange this replica sees of the session opens it.
+		// A caller that already gave up creates nothing.
+		tracker, err := strconv.ParseUint(v, 10, 8)
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err == nil {
+			err = s.owner.install(sid, bestpos.Kind(tracker), false)
+		}
+		if err != nil {
+			writeError(w, statusFor(err), "%v", err)
+			return
+		}
+	}
 	resp, rc, err := s.owner.exchange(ctx, sid, req)
 	if err != nil {
 		// Owner errors are malformed requests (bad position, bad item),
@@ -541,7 +513,6 @@ type HTTPClient struct {
 	policy     RoutingPolicy
 	reqTimeout time.Duration
 	retries    int
-	replicated bool
 
 	// bk paces retries (full-jitter exponential backoff); healthEvery
 	// is the prober's base cadence, doubled per consecutive probe
@@ -633,7 +604,6 @@ func Dial(ctx context.Context, cfg DialConfig) (*HTTPClient, error) {
 		policy:     cfg.Policy,
 		reqTimeout: cfg.RequestTimeout,
 		retries:    cfg.Retries,
-		replicated: topo.Replicated(),
 		rr:         make([]atomic.Uint32, len(topo)),
 		log:        logger,
 	}
@@ -671,7 +641,7 @@ func Dial(ctx context.Context, cfg DialConfig) (*HTTPClient, error) {
 	// one-replica-per-list cluster is always routed to its only replica
 	// whatever the verdict, and the pre-replica dial spawned no
 	// background work — keep that for flat callers.
-	if interval > 0 && t.replicated {
+	if interval > 0 && topo.Replicated() {
 		t.startProber(interval)
 	}
 	return t, nil
@@ -962,6 +932,16 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote status %d", e.Status)
 }
 
+// Unwrap maps the status an owner answers a TPUT request over negative
+// scores with back to ErrNegativeScore, so errors.Is matches the
+// refusal over HTTP as it does in process.
+func (e *RemoteError) Unwrap() error {
+	if e.Status == http.StatusUnprocessableEntity {
+		return ErrNegativeScore
+	}
+	return nil
+}
+
 // remoteError lifts a non-200 reply into a RemoteError.
 func remoteError(resp *http.Response) error {
 	re := &RemoteError{Status: resp.StatusCode}
@@ -1008,21 +988,23 @@ func (t *HTTPClient) replicaInfo(ctx context.Context, r *replica) (OwnerStats, e
 }
 
 // sessionListState is one session's per-list routing and accounting
-// state: which replicas hold the session, the replica its sessionful
-// traffic is pinned to, and the merged receipts of its acknowledged
-// exchanges. Guarded by its mutex; contention is nil in practice
-// because a session addresses each list from one goroutine at a time.
+// state: which replicas it has reached and may still route to, the
+// replica its sessionful traffic is pinned to, and the merged receipts
+// of its acknowledged exchanges. Guarded by its mutex; contention is nil
+// in practice because a session addresses each list from one goroutine
+// at a time.
 type sessionListState struct {
 	mu sync.Mutex
-	// open[ri] records that replica ri acknowledged /session/open — the
-	// set this session may route to. A replica dropped mid-query (lost
-	// session, failed pin) leaves this set for good.
-	open []bool
-	// acked[ri] records the open acknowledgement permanently: Close
-	// releases state at every replica that ever held the session, even
-	// ones dropped from routing — a live replica dropped after a
-	// transient failure still holds (stale) session state worth freeing.
-	acked []bool
+	// contacted[ri]: a request of the session went out to replica ri,
+	// so it may hold the session and Close goes there. held[ri]: it
+	// acknowledged an exchange or sync, so it holds the session and
+	// exchanges stop carrying the tracker marker.
+	contacted, held []bool
+	// routable[ri] is false once replica ri was dropped from this
+	// session's routing for good (a failed pin, a lost session). Only
+	// one goroutine addresses a list at a time (the Session contract),
+	// so routing reads it without the lock.
+	routable []bool
 	// pin is the replica serving this session's sessionful exchanges,
 	// chosen by policy at first use; nil until then.
 	pin *replica
@@ -1048,76 +1030,21 @@ type sessionListState struct {
 	seen        []uint64
 }
 
-// openTimeout caps each replica's /session/open attempt budget. The
-// open fan-out waits for every replica of every list, so a single
-// black-holed host must not stall query start for the full data-plane
-// timeout times the retry budget: acknowledging an open is a trivial
-// control-plane operation, and a replica that misses this window is
-// simply excluded from the session's routing — its list's sibling
-// carries the session (Close gets the same treatment via closeTimeout).
-const openTimeout = 5 * time.Second
-
-// Open starts a query session at every replica of every list, fanned out
-// in parallel. Fanning the open to ALL replicas — not just the ones the
-// policy would route to — is what makes mid-query failover safe: a
-// sibling replica already holds the session when traffic lands on it.
-// Replicas that fail the open are excluded from this session's routing;
-// a list whose every replica failed aborts the open (and closes the
-// partial session, best-effort).
+// Open starts a query session without a round trip: each replica opens
+// it when the first exchange (or handoff sync) of the session reaches
+// it, so a query only ever touches the replicas it routes to.
 func (t *HTTPClient) Open(ctx context.Context, tracker bestpos.Kind) (Session, error) {
-	sid := NewSessionID()
-	body := sessionBody{SID: sid, Tracker: uint8(tracker)}
-	s := &httpSession{t: t, sid: sid, state: make([]sessionListState, len(t.lists))}
-	errs := make([][]error, len(t.lists))
-	// The cap only makes sense when a sibling can carry the session: a
-	// flat topology keeps the full request timeout it always had — a
-	// merely slow single owner must not start failing opens.
-	bound := t.reqTimeout
-	if t.replicated && bound > openTimeout {
-		bound = openTimeout
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	var wg sync.WaitGroup
+	s := &httpSession{t: t, sid: NewSessionID(), tracker: tracker, state: make([]sessionListState, len(t.lists))}
 	for li, reps := range t.lists {
-		s.state[li].open = make([]bool, len(reps))
-		errs[li] = make([]error, len(reps))
-		for ri, r := range reps {
-			wg.Add(1)
-			go func(li, ri int, r *replica) {
-				defer wg.Done()
-				octx, cancel := context.WithTimeout(ctx, bound)
-				defer cancel()
-				errs[li][ri] = t.doJSON(octx, r, http.MethodPost, "/session/open", body, nil)
-			}(li, ri, r)
-		}
-	}
-	wg.Wait()
-	// Flag every acknowledged open first, so a partial-failure Close
-	// reaches everything that was opened.
-	for li := range t.lists {
-		s.state[li].acked = make([]bool, len(errs[li]))
-		for ri, err := range errs[li] {
-			s.state[li].open[ri] = err == nil
-			s.state[li].acked[ri] = err == nil
-		}
-	}
-	for li := range t.lists {
-		opened := 0
-		var firstErr error
-		for ri := range errs[li] {
-			if errs[li][ri] == nil {
-				opened++
-			} else if firstErr == nil {
-				firstErr = errs[li][ri]
-			}
-		}
-		if opened == 0 {
-			_ = s.Close()
-			return nil, firstErr
-		}
+		ls := &s.state[li]
+		ls.contacted, ls.held = make([]bool, len(reps)), make([]bool, len(reps))
+		ls.routable = slices.Repeat([]bool{true}, len(reps))
 	}
 	mClientSessOpened.Inc()
 	mClientSessionsOpen.Add(1)
-	s.counted = true
 	return s, nil
 }
 
@@ -1254,8 +1181,9 @@ func (t *HTTPClient) Close() error {
 // accumulates real time the way a latency Loopback accumulates virtual
 // time: a batch costs its slowest owner, not the sum.
 type httpSession struct {
-	t   *HTTPClient
-	sid string
+	t       *HTTPClient
+	sid     string
+	tracker bestpos.Kind
 
 	mu      sync.Mutex
 	elapsed time.Duration
@@ -1272,10 +1200,9 @@ type httpSession struct {
 	// exchange (the SpanRecording contract), read without locks.
 	rec *SpanRecorder
 
-	// counted marks the session charged to the open-sessions gauge;
-	// closed makes the matching decrement fire exactly once.
-	counted bool
-	closed  atomic.Bool
+	// closed makes the open-sessions gauge's decrement fire exactly
+	// once.
+	closed atomic.Bool
 }
 
 // ID returns the session ID.
@@ -1290,27 +1217,26 @@ func (s *httpSession) addElapsed(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// rpcPath is the data-plane URL of one request kind for this session.
-func (s *httpSession) rpcPath(kind Kind) string {
-	return "/rpc/" + string(kind) + "?sid=" + s.sid
+// rpcPath is the data-plane URL of one request kind for this session,
+// carrying the tracker marker that opens the session when marked.
+func (s *httpSession) rpcPath(kind Kind, marked bool) string {
+	p := "/rpc/" + string(kind) + "?sid=" + s.sid
+	if marked {
+		p += "&tracker=" + strconv.Itoa(int(s.tracker))
+	}
+	return p
 }
 
-// routable reports this session's replica set for a list: the replicas
-// that acknowledged the open and have not since lost the session. Only
-// one goroutine addresses a list at a time (the Session contract), so
-// the slice needs no lock between a dropOpen and the reads that follow
-// it.
-func (s *httpSession) routable(li int) []bool {
-	return s.state[li].open
-}
-
-// dropOpen removes a replica from this session's routing — it answered
-// ErrUnknownSession, so it restarted and lost the session state.
-func (s *httpSession) dropOpen(li, ri int) {
+// contact records that a request of this session is about to reach
+// replica ri of list li and reports whether it must carry the tracker
+// marker: until the replica acknowledges one, it may not hold the
+// session.
+func (s *httpSession) contact(li, ri int) (marked bool) {
 	ls := &s.state[li]
 	ls.mu.Lock()
-	ls.open[ri] = false
-	ls.mu.Unlock()
+	defer ls.mu.Unlock()
+	ls.contacted[ri] = true
+	return !ls.held[ri]
 }
 
 // pinned returns the replica this session's sessionful traffic for list
@@ -1320,7 +1246,7 @@ func (s *httpSession) pinned(li int) *replica {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if ls.pin == nil {
-		ls.pin = s.t.route(li, ls.open, nil)
+		ls.pin = s.t.route(li, ls.routable, nil)
 	}
 	return ls.pin
 }
@@ -1338,10 +1264,11 @@ func (s *httpSession) noteFailed(li, ri int) {
 }
 
 // SessionRecovery reports the failures one session absorbed: how many
-// pin-to-sibling handoffs it performed, how many distinct replicas
-// failed an exchange mid-query, and how many owner sheds it waited out
-// as backpressure. The dist runner harvests it into Result.Recovery;
-// primary accounting is untouched by any of them.
+// pin-to-sibling handoffs (state transfers by sync) it performed, how
+// many distinct replicas failed an exchange mid-query, and how many
+// owner sheds it waited out as backpressure. The dist runner harvests
+// it into Result.Recovery; primary accounting is untouched by any of
+// them.
 type SessionRecovery struct {
 	Handoffs       int
 	FailedReplicas int
@@ -1364,16 +1291,10 @@ func (s *httpSession) Recovery() SessionRecovery {
 	return rec
 }
 
-// controlBound caps the handoff sync the way openTimeout caps the open
-// fan-out: a black-holed sibling must cost a bounded slice of the
-// query, not a full data-plane timeout times the retry budget, before
-// the next sibling is tried.
-func (s *httpSession) controlBound() time.Duration {
-	if s.t.reqTimeout < openTimeout {
-		return s.t.reqTimeout
-	}
-	return openTimeout
-}
+// syncTimeout caps each handoff sync: a black-holed sibling must cost a
+// bounded slice of the query, not a full data-plane timeout times the
+// retry budget, before the next sibling is tried.
+const syncTimeout = 5 * time.Second
 
 // handoff re-pins the session for list li to a sibling after the pinned
 // replica failed, returning the new pin — or nil when no sibling takes
@@ -1386,39 +1307,47 @@ func (s *httpSession) controlBound() time.Duration {
 // sibling that refuses is marked failed and the next is tried. Because
 // every handoff permanently drops a replica, handoffs per list are
 // bounded by the replica set.
+//
+// While no acknowledged exchange has left state on the list, the copy
+// is empty: the session re-pins to the next sibling by policy with no
+// sync, the marker opens it there, and nothing counts as a handoff.
 func (s *httpSession) handoff(ctx context.Context, li int, failed *replica) *replica {
 	ls := &s.state[li]
 	ls.mu.Lock()
-	ls.open[failed.index] = false
-	body := syncBody{SID: s.sid, Ranges: seenRanges(ls.seen, s.t.n), Depth: ls.depth}
+	ls.routable[failed.index] = false
+	if ls.depth == 0 && ls.seen == nil {
+		next := s.t.route(li, ls.routable, nil)
+		if next != nil {
+			ls.pin = next
+		}
+		ls.mu.Unlock()
+		return next
+	}
+	body := sessionBody{SID: s.sid, Tracker: uint8(s.tracker), Ranges: seenRanges(ls.seen, s.t.n), Depth: ls.depth}
 	ls.mu.Unlock()
 	tried := make([]bool, len(s.t.lists[li]))
 	for {
-		next := s.t.route(li, s.routable(li), tried)
+		next := s.t.route(li, ls.routable, tried)
 		if next == nil || ctx.Err() != nil {
 			return nil
 		}
 		tried[next.index] = true
-		sctx, cancel := context.WithTimeout(ctx, s.controlBound())
+		s.contact(li, next.index)
+		sctx, cancel := context.WithTimeout(ctx, min(s.t.reqTimeout, syncTimeout))
 		err := s.t.doJSON(sctx, next, http.MethodPost, "/session/sync", body, nil)
 		cancel()
 		if err != nil {
-			// Demote the sibling so routing prefers the others; a 404 means
-			// it restarted and lost the session outright, so it leaves the
-			// session's routing too.
+			// Demote the sibling so routing prefers the others.
 			s.noteFailed(li, next.index)
 			next.noteFailure()
 			s.t.noteHealth(next, false)
 			s.t.tripFailure(next)
 			s.t.log.Warn("handoff sync refused", "sid", s.sid, "list", li, "replica", next.index, "url", next.url, "err", err)
-			var re *RemoteError
-			if errors.As(err, &re) && re.Status == http.StatusNotFound {
-				s.dropOpen(li, next.index)
-			}
 			continue
 		}
 		ls.mu.Lock()
 		ls.pin = next
+		ls.held[next.index] = true
 		ls.mu.Unlock()
 		s.handoffs.Add(1)
 		mClientHandoffs.Inc()
@@ -1427,12 +1356,13 @@ func (s *httpSession) handoff(ctx context.Context, li int, failed *replica) *rep
 	}
 }
 
-// acknowledge merges the receipt of an acknowledged exchange into the
-// session's per-list accounting and, for a list with a sibling replica,
-// its copy of the session state (see sessionListState).
-func (s *httpSession) acknowledge(li int, rc Receipt) {
+// acknowledge merges the receipt of an exchange replica ri acknowledged
+// into the session's per-list accounting and, for a list with a sibling
+// replica, its copy of the session state (see sessionListState).
+func (s *httpSession) acknowledge(li, ri int, rc Receipt) {
 	ls := &s.state[li]
 	ls.mu.Lock()
+	ls.held[ri] = true
 	ls.charged = ls.charged.Add(rc.Accesses)
 	ls.depth = max(ls.depth, rc.Depth)
 	ls.best = max(ls.best, rc.Best)
@@ -1476,11 +1406,12 @@ func seenRanges(seen []uint64, n int) [][2]int {
 // count, which only this frame sees). Both bodies pass through pooled
 // buffers; decoded messages own their memory, so nothing aliases a
 // pooled slice after return.
-func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, body []byte) (Response, Receipt, int, int, error) {
+func (s *httpSession) attemptRPC(ctx context.Context, li int, r *replica, kind Kind, body []byte) (Response, Receipt, int, int, error) {
 	var out Response
 	var rc Receipt
 	respBytes := 0
-	status, err := s.t.attempt(ctx, http.MethodPost, r.url+s.rpcPath(kind), body, ContentTypeBinary, func(data []byte) error {
+	path := s.rpcPath(kind, s.contact(li, r.index))
+	status, err := s.t.attempt(ctx, http.MethodPost, r.url+path, body, ContentTypeBinary, func(data []byte) error {
 		respBytes = len(data)
 		var derr error
 		if out, rc, derr = decodeBody(data); derr != nil {
@@ -1497,8 +1428,9 @@ func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, bod
 // routing it to a replica and absorbing transient failures:
 //
 //   - stateless requests go to the policy's replica and FAIL OVER to a
-//     sibling on transient failure (every replica holds the session, and
-//     a stateless request is by construction replayable);
+//     sibling on transient failure (a sibling that does not hold the
+//     session yet opens it from the marker, and a stateless request is
+//     by construction replayable);
 //   - sessionful requests go to the session's pinned replica; replayable
 //     ones (mark, topk) may be retried there, and every successful one's
 //     receipt lands in the session's copy of the list's state. A pin
@@ -1519,12 +1451,13 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 		return nil, fmt.Errorf("transport: owner %d: encode request: %w", li, err)
 	}
 
+	ls := &s.state[li]
 	sessionful := req.Sessionful()
 	var target *replica
 	if sessionful {
 		target = s.pinned(li)
 	} else {
-		target = s.t.route(li, s.routable(li), nil)
+		target = s.t.route(li, ls.routable, nil)
 	}
 	if target == nil {
 		return nil, fmt.Errorf("transport: owner %d: no routable replica", li)
@@ -1569,7 +1502,7 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 				// session deserves one try before the exchange gives up, even
 				// when that exceeds the flat same-replica retry budget.
 				open := 0
-				for _, ok := range s.routable(li) {
+				for _, ok := range ls.routable {
 					if ok {
 						open++
 					}
@@ -1604,7 +1537,7 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 		}
 		attempted++
 		start := time.Now()
-		resp, rc, rb, status, err := s.attemptRPC(ctx, target, kind, *enc)
+		resp, rc, rb, status, err := s.attemptRPC(ctx, li, target, kind, *enc)
 		if err == nil {
 			respBytes = rb
 			target.observe(time.Since(start))
@@ -1613,7 +1546,7 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 			if failedOver {
 				target.failovers.Add(1)
 			}
-			s.acknowledge(li, rc)
+			s.acknowledge(li, target.index, rc)
 			return resp, nil
 		}
 		lastErr = err
@@ -1634,10 +1567,11 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 			a--
 			continue
 		}
-		// A 404 is the owner's ErrUnknownSession: the replica is alive
-		// but no longer holds this session — it restarted since the
-		// open. Its copy of the session state is gone, not the session:
-		// a sibling replica still holds it.
+		// A 404 is the owner's ErrUnknownSession on an unmarked exchange:
+		// the replica is alive but no longer holds the session it
+		// acknowledged — it restarted (or evicted it). Its copy of the
+		// session state is gone, not the session: the session's own copy
+		// and its siblings still carry it.
 		var re *RemoteError
 		sessionLost := errors.As(err, &re) && re.Status == http.StatusNotFound
 		transient := transientStatus(status) || (status == 0 && transientErr(ctx, err)) ||
@@ -1676,13 +1610,15 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 		// restarted replica is dropped from this session's routing for
 		// good — it would keep answering 404.
 		if sessionLost {
-			s.dropOpen(li, target.index)
+			ls.mu.Lock()
+			ls.routable[target.index] = false
+			ls.mu.Unlock()
 		}
 		if tried == nil {
 			tried = make([]bool, len(s.t.lists[li]))
 		}
 		tried[target.index] = true
-		if next := s.t.route(li, s.routable(li), tried); next != nil {
+		if next := s.t.route(li, ls.routable, tried); next != nil {
 			failedOver = failedOver || next != target
 			target = next
 		}
@@ -1771,39 +1707,21 @@ func (s *httpSession) DoAll(ctx context.Context, calls []Call) ([]Response, erro
 	return out, nil
 }
 
-// Stats reports an owner's bookkeeping for this session: the list
-// metadata /stats reports at any routable replica, overlaid with the
-// session's accesses, depth and best position merged from the receipts
-// of its acknowledged exchanges — in every topology, so accounting is
+// Stats reports an owner's bookkeeping for this session without a wire
+// call: the list metadata from the dial handshake and the session's
+// accesses, depth and best position merged from the receipts of its
+// acknowledged exchanges — in every topology, so accounting is
 // bit-identical to a single-owner run whatever routed, failed over or
-// was re-sent. The request still names the session, so owner-side logs
-// and traces can attribute it, but nothing session-specific the replica
-// answers is kept.
-func (s *httpSession) Stats(ctx context.Context, owner int) (OwnerStats, error) {
+// was re-sent.
+func (s *httpSession) Stats(_ context.Context, owner int) (OwnerStats, error) {
 	if err := s.t.checkOwner(owner); err != nil {
 		return OwnerStats{}, err
 	}
-	lastErr := fmt.Errorf("transport: owner %d: no routable replica", owner)
-	tried := make([]bool, len(s.t.lists[owner]))
-	for r := s.t.route(owner, s.routable(owner), tried); r != nil; r = s.t.route(owner, s.routable(owner), tried) {
-		var st OwnerStats
-		err := s.t.doJSON(ctx, r, http.MethodGet, "/stats?sid="+s.sid, nil, func(data []byte) error {
-			return json.Unmarshal(data, &st)
-		})
-		if err == nil {
-			ls := &s.state[owner]
-			ls.mu.Lock()
-			st.Accesses, st.Depth, st.Best = ls.charged, ls.depth, ls.best
-			ls.mu.Unlock()
-			return st, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-		tried[r.index] = true
-	}
-	return OwnerStats{}, lastErr
+	ls := &s.state[owner]
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	return OwnerStats{Index: owner, N: s.t.n, M: len(s.t.lists),
+		Accesses: ls.charged, Depth: ls.depth, Best: ls.best}, nil
 }
 
 // Elapsed returns the real time this session has spent in exchanges.
@@ -1819,15 +1737,15 @@ func (s *httpSession) Elapsed() time.Duration {
 // the generous data-plane budget.
 const closeTimeout = 2 * time.Second
 
-// Close releases the session's owner-side state at every replica that
-// holds it, best-effort and in parallel: every replica is attempted
+// Close releases the session's owner-side state at every replica it
+// contacted, best-effort and in parallel: every replica is attempted
 // under a fresh short-lived control-plane context (so a canceled query
 // still cleans up after itself), and a hung owner costs at most
 // closeTimeout, not one reqTimeout per owner. The returned error is the
 // first failure — callers tearing down after a replica crash should
 // expect (and may ignore) one.
 func (s *httpSession) Close() error {
-	if s.closed.CompareAndSwap(false, true) && s.counted {
+	if s.closed.CompareAndSwap(false, true) {
 		mClientSessionsOpen.Add(-1)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), closeTimeout)
@@ -1838,8 +1756,10 @@ func (s *httpSession) Close() error {
 		firstErr error
 	)
 	for li, reps := range s.t.lists {
+		ls := &s.state[li]
+		ls.mu.Lock()
 		for _, r := range reps {
-			if !s.state[li].acked[r.index] {
+			if !ls.contacted[r.index] {
 				continue
 			}
 			wg.Add(1)
@@ -1855,6 +1775,7 @@ func (s *httpSession) Close() error {
 				}
 			}(r)
 		}
+		ls.mu.Unlock()
 	}
 	wg.Wait()
 	return firstErr

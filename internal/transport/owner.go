@@ -19,8 +19,9 @@ import (
 
 // OwnerStats is the control-plane bookkeeping of one owner: what the
 // originator needs to assemble a Result but that is not protocol traffic
-// (see Session.Stats). MinScore is owner metadata known without a
-// charged access, cf. the centralized list floors.
+// (see Session.Stats), and the list metadata of the /stats handshake.
+// MinScore is owner metadata known without a charged access, cf. the
+// centralized list floors.
 type OwnerStats struct {
 	// Index is the list the owner serves.
 	Index int `json:"index"`
@@ -86,6 +87,12 @@ const DefaultRetryAfter = 25 * time.Millisecond
 // this to 429 plus a Retry-After hint and the client waits it out
 // instead of counting a failure.
 var ErrOverloaded = errors.New("owner overloaded")
+
+// ErrNegativeScore reports a TPUT request (topk, above) refused because
+// the owner's list minimum — metadata, no charged access — is negative:
+// TPUT's bounds assume f = Σ si over non-negative scores. Over HTTP it
+// travels as a 422 that RemoteError unwraps back to it.
+var ErrNegativeScore = errors.New("TPUT requires non-negative scores")
 
 // ErrReadOnly reports an update sent to an owner whose list is not
 // mutable: it was loaded read-only (the default), or is stripe-backed —
@@ -157,6 +164,9 @@ type Owner struct {
 	n       int
 	replica string         // replica label advertised in /stats
 	db      *list.Database // single-list database over the owned list
+	// min is the score at the list's last position, read once at
+	// construction; minScore reads a mutable list's afresh instead.
+	min float64
 
 	mu        sync.Mutex
 	sessions  map[string]*ownerSession
@@ -208,6 +218,7 @@ func NewOwner(db *list.Database, index int) (*Owner, error) {
 		m:        db.M(),
 		n:        db.N(),
 		db:       own,
+		min:      own.List(0).At(db.N()).Score,
 		sessions: make(map[string]*ownerSession),
 		ttl:      DefaultSessionTTL,
 		maxSess:  MaxSessions,
@@ -449,14 +460,28 @@ func (o *Owner) sweepLocked(now time.Time) {
 // replaces its state, so a retried open is idempotent. Control-plane —
 // never charged to traffic accounting.
 func (o *Owner) Open(sid string, kind bestpos.Kind) error {
+	return o.install(sid, kind, true)
+}
+
+// install is Open when reset is set. Without reset it leaves an
+// existing session as it is: how a replica opens a session on the first
+// exchange or handoff sync it sees of it, where a re-sent request must
+// not wipe what its first attempt built.
+func (o *Owner) install(sid string, kind bestpos.Kind, reset bool) error {
 	if sid == "" {
 		return fmt.Errorf("transport: owner %d: empty session ID", o.index)
+	}
+	if !slices.Contains(bestpos.Kinds(), kind) {
+		return fmt.Errorf("transport: owner %d: unknown tracker kind %d", o.index, kind)
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	now := time.Now()
 	o.sweepLocked(now)
 	_, existed := o.sessions[sid]
+	if existed && !reset {
+		return nil
+	}
 	if !existed && o.maxSess > 0 && len(o.sessions) >= o.maxSess {
 		return fmt.Errorf("transport: owner %d: session limit %d reached: %w", o.index, o.maxSess, ErrOverloaded)
 	}
@@ -528,6 +553,23 @@ func (o *Owner) session(sid string) (*ownerSession, error) {
 	return s, nil
 }
 
+// minScore reports the score at the list's last position.
+func (o *Owner) minScore() float64 {
+	if o.mut != nil {
+		return o.mut.At(o.n).Score
+	}
+	return o.min
+}
+
+// checkNonNegative refuses a TPUT request when the list holds a
+// negative score (ErrNegativeScore).
+func (o *Owner) checkNonNegative() error {
+	if m := o.minScore(); m < 0 {
+		return fmt.Errorf("transport: owner %d: %w, list minimum is %v", o.index, ErrNegativeScore, m)
+	}
+	return nil
+}
+
 // Info reports the owner's list metadata — the dial handshake. The
 // access tallies are zero: they live per session.
 func (o *Owner) Info() OwnerStats {
@@ -538,7 +580,7 @@ func (o *Owner) Info() OwnerStats {
 		Index:        o.index,
 		N:            o.n,
 		M:            o.m,
-		MinScore:     o.db.List(0).At(o.n).Score,
+		MinScore:     o.minScore(),
 		Replica:      rep,
 		OpenSessions: open,
 		Evictions:    ev,
@@ -566,14 +608,18 @@ func (o *Owner) SessionStats(sid string) (OwnerStats, error) {
 }
 
 // SyncSession brings this replica's copy of a session up to the state
-// the originator holds for it — the handoff transfer: it marks the
-// positions of the inclusive [lo,hi] ranges seen in the session's
-// tracker and raises the scan depth. Marking is idempotent and the
-// depth merge is monotonic, so replaying a sync converges instead of
+// the originator holds for it — the handoff transfer: it opens the
+// session with a tracker of the given kind if the replica holds none,
+// marks the positions of the inclusive [lo,hi] ranges seen in the
+// session's tracker and raises the scan depth. Marking is idempotent and
+// the depth merge is monotonic, so replaying a sync converges instead of
 // corrupting state. Control-plane: nothing here touches the access
 // probe, so transferred state never perturbs the accounting the
 // originator sums from exchange receipts.
-func (o *Owner) SyncSession(sid string, ranges [][2]int, depth int) error {
+func (o *Owner) SyncSession(sid string, kind bestpos.Kind, ranges [][2]int, depth int) error {
+	if err := o.install(sid, kind, false); err != nil {
+		return err
+	}
 	s, err := o.session(sid)
 	if err != nil {
 		return err
@@ -810,6 +856,9 @@ func (o *Owner) handleTopK(ctx context.Context, s *ownerSession, req TopKReq) (R
 	if err := o.checkPos(req.K); err != nil {
 		return nil, err
 	}
+	if err := o.checkNonNegative(); err != nil {
+		return nil, err
+	}
 	out := make([]list.Entry, req.K)
 	for p := 1; p <= req.K; p++ {
 		if err := pollCtx(ctx, p); err != nil {
@@ -845,6 +894,9 @@ type scoreSeeker interface {
 // the same probe, so the accounting is identical by construction (the
 // above-seek parity tests pin this for RAM and stripe lists).
 func (o *Owner) handleAbove(ctx context.Context, s *ownerSession, req AboveReq) (Response, error) {
+	if err := o.checkNonNegative(); err != nil {
+		return nil, err
+	}
 	if sk, ok := o.db.List(0).(scoreSeeker); ok {
 		cut := sk.SeekScore(req.T) // first position with score < T; n+1 when none
 		start := s.depth + 1

@@ -22,8 +22,9 @@ import (
 // two:
 //
 //   - stateless exchanges (sorted, lookup, fetch — all replayable) may
-//     be served by any replica holding the session and fail over to a
-//     sibling when their replica dies mid-query;
+//     be served by any replica (one that does not hold the session yet
+//     opens it) and fail over to a sibling when their replica dies
+//     mid-query;
 //   - sessionful exchanges (probe, mark, topk, above — anything that
 //     reads or advances a per-session cursor or tracker) pin the session
 //     to one replica per list; if that replica dies, the query fails
@@ -67,9 +68,8 @@ func (tp Topology) Validate() error {
 }
 
 // Replicated reports whether any list has more than one replica — the
-// switch that arms the background health prober and caps session opens
-// at openTimeout. Routing, failover and accounting work the same way in
-// every topology.
+// switch that arms the background health prober. Routing, failover and
+// accounting work the same way in every topology.
 func (tp Topology) Replicated() bool {
 	for _, reps := range tp {
 		if len(reps) > 1 {

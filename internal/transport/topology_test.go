@@ -150,13 +150,15 @@ func startReplicas(t *testing.T, db *list.Database, reps int) (Topology, [][]*Se
 	return topo, servers
 }
 
-// TestReplicatedOpenFansOut: a session must exist at EVERY replica of
-// every list — the invariant that makes failover lossless — and close
-// must release all of them.
+// TestReplicatedOpenFansOut: a session reaches the replicas of every
+// list with its traffic, not with Open — Open leaves every replica
+// untouched, a replica holds the session from the first exchange routed
+// to it, stateless exchanges under round-robin spread it to every
+// replica of every list — and close must release all of them.
 func TestReplicatedOpenFansOut(t *testing.T) {
 	db := replicatedDB(t)
 	topo, servers := startReplicas(t, db, 2)
-	hc, err := Dial(context.Background(), DialConfig{Topology: topo, HealthInterval: -1})
+	hc, err := Dial(context.Background(), DialConfig{Topology: topo, Policy: RouteRoundRobin, HealthInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,23 +167,33 @@ func TestReplicatedOpenFansOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for li := range servers {
-		for ri, srv := range servers[li] {
-			if n := srv.Owner().Sessions(); n != 1 {
-				t.Errorf("list %d replica %d holds %d sessions, want 1", li, ri, n)
+	held := func(want int, when string) {
+		t.Helper()
+		for li := range servers {
+			for ri, srv := range servers[li] {
+				if n := srv.Owner().Sessions(); n != want {
+					t.Errorf("list %d replica %d holds %d sessions %s, want %d", li, ri, n, when, want)
+				}
 			}
 		}
 	}
+	held(0, "after open")
+	for li := range servers {
+		for pos := 1; pos <= len(servers[li]); pos++ {
+			resp, err := s.Do(context.Background(), li, SortedReq{Pos: pos})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resp.(SortedResp).Entry; got != db.List(li).At(pos) {
+				t.Errorf("list %d position %d answered %+v", li, pos, got)
+			}
+		}
+	}
+	held(1, "after one exchange each")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for li := range servers {
-		for ri, srv := range servers[li] {
-			if n := srv.Owner().Sessions(); n != 0 {
-				t.Errorf("list %d replica %d holds %d sessions after close", li, ri, n)
-			}
-		}
-	}
+	held(0, "after close")
 }
 
 // flakyGate wraps a replica's handler so the test can abort its
@@ -312,8 +324,7 @@ func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 
-	// B acknowledged the open, so it is the session's only handoff
-	// target; kill it.
+	// B is the session's only handoff target; kill it.
 	gateB.dead.Store(true)
 
 	// Two probes pin the session to replica A and advance its cursor.
@@ -329,13 +340,10 @@ func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	if a := srvA.Owner(); a == nil {
 		t.Fatal("no owner")
 	}
-	// The cursor must live on A alone: B has seen nothing.
-	stB, err := srvB.Owner().SessionStats(s.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stB.Best != 0 || stB.Accesses.Total() != 0 {
-		t.Errorf("sessionful traffic leaked to the unpinned replica: %+v", stB)
+	// The cursor must live on A alone: B has not even opened the
+	// session.
+	if stB, err := srvB.Owner().SessionStats(s.ID()); !errors.Is(err, ErrUnknownSession) {
+		t.Errorf("sessionful traffic leaked to the unpinned replica: %+v, %v", stB, err)
 	}
 	recovery := func() SessionRecovery { return s.(interface{ Recovery() SessionRecovery }).Recovery() }
 	if rec := recovery(); rec.FailedReplicas != 0 {
@@ -361,13 +369,9 @@ func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	if !errors.As(err, &ofe) {
 		t.Fatalf("mark on dead pinned replica: %v, want *OwnerFailedError", err)
 	}
-	// B's cursor is still untouched.
-	stB, err = srvB.Owner().SessionStats(s.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stB.Best != 0 {
-		t.Errorf("failed sessionful traffic moved to the sibling: best=%d", stB.Best)
+	// B still holds nothing of the session.
+	if stB, err := srvB.Owner().SessionStats(s.ID()); !errors.Is(err, ErrUnknownSession) {
+		t.Errorf("failed sessionful traffic moved to the sibling: %+v, %v", stB, err)
 	}
 	if rec := recovery(); rec.Handoffs != 0 || rec.FailedReplicas != 2 {
 		t.Errorf("recovery = %+v, want 0 handoffs and both replicas failed (pin, then the refused sync)", rec)
@@ -504,11 +508,11 @@ func TestReplicaIdentityInStats(t *testing.T) {
 	}
 }
 
-// TestStatsBestFromUnpinnedReplica: with three replicas, Stats may be
-// answered by a replica that is not the pin and so never saw the
-// session's state. The session's best position (like its accesses and
-// depth) must still be the pin's last one — it comes from the receipts
-// the pin returned, not from whichever replica answered.
+// TestStatsBestFromUnpinnedReplica: with three replicas, the replicas
+// a session is not pinned to never hear of it, and Stats makes no wire
+// call: the session's best position (like its accesses and depth) is
+// the pin's last one, from the receipts the pin returned, even with
+// every replica down.
 func TestStatsBestFromUnpinnedReplica(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
 	var servers []*httptest.Server
@@ -550,22 +554,21 @@ func TestStatsBestFromUnpinnedReplica(t *testing.T) {
 	if pin == nil {
 		t.Fatal("session not pinned")
 	}
-	other, fenced := (pin.index+1)%3, hc.lists[0][(pin.index+2)%3]
-	if st, err := owners[other].SessionStats(s.ID()); err != nil || st.Best != 0 {
-		t.Fatalf("unpinned replica %d holds session state: %+v, %v", other, st, err)
+	for ri, o := range owners {
+		if _, err := o.SessionStats(s.ID()); ri != pin.index && !errors.Is(err, ErrUnknownSession) {
+			t.Errorf("unpinned replica %d holds the session: %v", ri, err)
+		}
 	}
-	// Close the pin's server and leave one unpinned replica the only
-	// healthy one, so Stats routes there.
-	servers[pin.index].Close()
-	hc.noteHealth(pin, false)
-	hc.noteHealth(fenced, false)
+	for _, ts := range servers {
+		ts.Close()
+	}
 	st, err := s.Stats(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Best != probes || st.Accesses.Direct != probes {
-		t.Errorf("Stats via replica %d = best %d, direct %d; want the pin's best %d and %d probes",
-			other, st.Best, st.Accesses.Direct, probes, probes)
+	if st.Best != probes || st.Accesses.Direct != probes || st.N != one.N() || st.M != 1 {
+		t.Errorf("Stats = %+v; want the pin's best %d and %d probes over n=%d, m=1",
+			st, probes, probes, one.N())
 	}
 }
 
@@ -802,9 +805,9 @@ func TestFlatDialSpawnsNoProber(t *testing.T) {
 	}
 }
 
-// TestOpenExcludesStalledReplica: a replica that hangs on /session/open
-// must not stall query start past the open cap — the session proceeds
-// on its sibling, with the stalled replica excluded from routing.
+// TestOpenExcludesStalledReplica: Open contacts no replica, so one that
+// hangs on every request past the dial handshake cannot stall query
+// start, and the session runs on its sibling.
 func TestOpenExcludesStalledReplica(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 40, M: 1, Seed: 3})
 	srvA, err := NewServer(one, 0)
@@ -821,15 +824,15 @@ func TestOpenExcludesStalledReplica(t *testing.T) {
 	// httptest Close, which waits for in-flight handlers, terminates.
 	const stall = 1500 * time.Millisecond
 	tsB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/session/open" {
-			time.Sleep(stall) // far beyond the 200ms open cap below
+		if r.URL.Path != "/stats" {
+			time.Sleep(stall) // far beyond the 200ms request timeout below
 		}
 		srvB.Handler().ServeHTTP(w, r)
 	}))
 	defer tsB.Close()
 	hc, err := Dial(context.Background(), DialConfig{
 		Topology:       Topology{{tsA.URL, tsB.URL}},
-		RequestTimeout: 200 * time.Millisecond, // open cap = min(this, openTimeout)
+		RequestTimeout: 200 * time.Millisecond,
 		HealthInterval: -1,
 	})
 	if err != nil {
@@ -843,11 +846,11 @@ func TestOpenExcludesStalledReplica(t *testing.T) {
 	}
 	defer s.Close()
 	// Must beat the stall by a wide margin: waiting the handler out
-	// (~1.5s) would mean the cap never applied.
+	// (~1.5s) would mean Open touched the hung replica.
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("open stalled %v behind the hung replica", d)
 	}
-	// The session runs on the replica that acknowledged.
+	// The session runs on the healthy replica.
 	if _, err := s.Do(context.Background(), 0, SortedReq{Pos: 1}); err != nil {
 		t.Errorf("query after degraded open: %v", err)
 	}
@@ -996,12 +999,8 @@ func TestSessionfulHandoff(t *testing.T) {
 			t.Fatalf("probe %d = %+v", i, got)
 		}
 	}
-	stB, err := srvB.Owner().SessionStats(s.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stB.Best != 0 {
-		t.Errorf("sibling best = %d before the handoff, want 0", stB.Best)
+	if stB, err := srvB.Owner().SessionStats(s.ID()); !errors.Is(err, ErrUnknownSession) {
+		t.Errorf("sibling holds the session before the handoff: %+v, %v", stB, err)
 	}
 
 	// Kill the pin: the next probe hands off to B and resumes at 3.
@@ -1021,7 +1020,7 @@ func TestSessionfulHandoff(t *testing.T) {
 	}
 	// B holds the transferred positions 1,2 plus its own 3,4 and 9, and
 	// is charged only for what it served: the sync itself is free.
-	stB, err = srvB.Owner().SessionStats(s.ID())
+	stB, err := srvB.Owner().SessionStats(s.ID())
 	if err != nil {
 		t.Fatal(err)
 	}

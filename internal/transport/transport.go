@@ -11,9 +11,11 @@
 // # Sessions
 //
 // Every query execution runs inside a Session: Transport.Open generates
-// a unique query/session ID, installs fresh owner-side protocol state
-// (seen-position tracker, access tally, scan cursor) keyed by that ID at
-// every owner, and returns the originator's handle. The ID travels with
+// a unique query/session ID keyed to fresh owner-side protocol state
+// (seen-position tracker, access tally, scan cursor) and returns the
+// originator's handle. Loopback installs the state at every owner up
+// front; the HTTP backend sends nothing at Open, and a replica installs
+// it when the session's first exchange reaches it. The ID travels with
 // every message, so one owner — and one shared Transport — serves any
 // number of concurrent originators without their state interleaving;
 // sessions only serialize against themselves. Session.Close releases the
@@ -69,10 +71,11 @@ type Transport interface {
 	M() int
 	// N returns the shared list length.
 	N() int
-	// Open starts a new query session at every owner: a fresh
-	// seen-position tracker of the given kind, a zeroed access tally and
-	// scan cursor, all keyed by a new unique session ID. Control-plane:
-	// not charged to traffic accounting.
+	// Open starts a new query session: a fresh seen-position tracker of
+	// the given kind, a zeroed access tally and scan cursor at every
+	// owner, all keyed by a new unique session ID — installed up front
+	// or by the session's first exchange with each owner, as the backend
+	// chooses. Control-plane: not charged to traffic accounting.
 	Open(ctx context.Context, tracker bestpos.Kind) (Session, error)
 	// Close releases backend resources. Open sessions become unusable.
 	Close() error
@@ -98,7 +101,8 @@ type Session interface {
 	DoAll(ctx context.Context, calls []Call) ([]Response, error)
 	// Stats reports an owner's bookkeeping for this session (accesses,
 	// tracker best position, scan depth, list metadata). Control-plane:
-	// not charged.
+	// not charged; the HTTP session answers from the receipts it holds,
+	// without a wire call.
 	Stats(ctx context.Context, owner int) (OwnerStats, error)
 	// Elapsed returns the session's cumulative wall-clock measure: the
 	// latency model's virtual time on Loopback (zero without a model),

@@ -1137,12 +1137,14 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{http.MethodPost, "/rpc/sorted?sid=s", js, `{"pos":1}`, http.StatusUnsupportedMediaType},
 		{http.MethodPost, "/rpc/sorted?sid=s", "", frame(SortedReq{Pos: 1}), http.StatusUnsupportedMediaType},
 		{http.MethodGet, "/rpc/sorted?sid=s", "", "", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/session/open", js, `{"sid":"x","tracker":99}`, http.StatusBadRequest},
-		{http.MethodPost, "/session/open", js, `{"tracker":0}`, http.StatusBadRequest}, // empty sid
-		{http.MethodGet, "/session/open", "", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/rpc/sorted?sid=x&tracker=99", bin, frame(SortedReq{Pos: 1}), http.StatusBadRequest}, // unknown tracker kind
+		{http.MethodPost, "/rpc/sorted?sid=x&tracker=-1", bin, frame(SortedReq{Pos: 1}), http.StatusBadRequest},
+		{http.MethodPost, "/rpc/sorted?sid=x&tracker=0", bin, frame(SortedReq{Pos: 1}), http.StatusOK}, // the marker opens sid x
+		{http.MethodPost, "/session/sync", js, `{"sid":"y","tracker":99}`, http.StatusBadRequest},
+		{http.MethodPost, "/session/sync", js, `{"tracker":0}`, http.StatusBadRequest}, // empty sid
 		{http.MethodGet, "/session/close", "", "", http.StatusMethodNotAllowed},
 		{http.MethodPost, "/stats", js, "{}", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/stats?sid=zz", "", "", http.StatusNotFound},
+		{http.MethodGet, "/stats?sid=zz", "", "", http.StatusOK}, // list metadata; the sid is ignored
 	} {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
 		if err != nil {
