@@ -1,17 +1,16 @@
 package topk
 
 // Benchmarks: one per table/figure of the paper's evaluation (Section 6),
-// plus the ablations from DESIGN.md. Each sub-benchmark measures one
-// (algorithm, sweep point) pair over a pre-generated database and reports
-// the paper's metrics alongside ns/op:
+// plus the trackers, tamemo and fagin ablations. Each sub-benchmark
+// measures one (algorithm, sweep point) pair over a pre-generated
+// database and reports the paper's metrics alongside ns/op:
 //
 //	cost/op      execution cost (sorted + log2(n) * (random+direct))
 //	accesses/op  total list accesses
 //
 // The sweeps run at benchDBScale of the paper's database sizes so that
 // `go test -bench=. -benchmem` finishes in minutes; cmd/topk-bench
-// regenerates the full-size figures (see EXPERIMENTS.md for measured
-// full-size results). Shapes are identical.
+// regenerates the full-size figures. Shapes are identical.
 
 import (
 	"context"
@@ -32,7 +31,6 @@ import (
 	"topk/internal/list"
 	"topk/internal/obs"
 	"topk/internal/paperdb"
-	"topk/internal/parallel"
 	"topk/internal/score"
 	"topk/internal/store"
 	"topk/internal/store/stripe"
@@ -247,8 +245,8 @@ func BenchmarkTrackerMarkSeen(b *testing.B) {
 	}
 }
 
-// BenchmarkTAMemoized quantifies TA's redundant random accesses (the
-// ablation of DESIGN.md).
+// BenchmarkTAMemoized quantifies TA's redundant random accesses (exp id
+// "tamemo").
 func BenchmarkTAMemoized(b *testing.B) {
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: benchN(100_000), M: 8, Seed: 1})
 	for _, memo := range []bool{false, true} {
@@ -738,37 +736,13 @@ func BenchmarkDHT(b *testing.B) {
 }
 
 // BenchmarkFaginBaselines places the paper's algorithms inside the wider
-// Fagin framework (DESIGN.md ablation; exp id "fagin"): the sorted-only
-// NRA, the balanced CA, TA, and BPA2 on the default uniform workload.
+// Fagin framework (exp id "fagin"): the sorted-only NRA, the balanced
+// CA, TA, and BPA2 on the default uniform workload.
 func BenchmarkFaginBaselines(b *testing.B) {
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: benchN(100_000), M: 8, Seed: 1})
 	for _, alg := range []core.Algorithm{core.AlgNRA, core.AlgCA, core.AlgTA, core.AlgBPA2} {
 		b.Run(alg.String(), func(b *testing.B) {
 			runAlgBench(b, db, alg, 20)
-		})
-	}
-}
-
-// BenchmarkParallelExecutor compares the sequential and the
-// per-list-goroutine executor (exp id "parallel"). Answers and access
-// counts are identical; the delta is pure scheduling.
-func BenchmarkParallelExecutor(b *testing.B) {
-	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: benchN(100_000), M: 8, Seed: 1})
-	opts := core.Options{K: 20, Scoring: score.Sum{}}
-	for _, alg := range []core.Algorithm{core.AlgTA, core.AlgBPA2} {
-		b.Run(alg.String()+"/sequential", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(alg, db, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(alg.String()+"/parallel", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := parallel.Run(alg, db, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -34,23 +34,20 @@ func TestExecPreCanceled(t *testing.T) {
 }
 
 // TestExecCancelMidQuery cancels from inside the round observer — after
-// the first round, mid-execution by construction — and expects ctx.Err()
-// from the sequential and the parallel executor alike.
+// the first round, mid-execution by construction — and expects ctx.Err().
 func TestExecCancelMidQuery(t *testing.T) {
 	db := ctxTestDB(t)
 	for _, alg := range []Algorithm{TA, BPA, BPA2} {
-		for _, par := range []bool{false, true} {
-			ctx, cancel := context.WithCancel(context.Background())
-			q := Query{K: 10, Algorithm: alg, Parallel: par}.WithOnRound(func(r Round) {
-				if r.Round == 1 {
-					cancel()
-				}
-			})
-			_, err := db.Exec(ctx, q)
-			cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%v parallel=%v: want context.Canceled, got %v", alg, par, err)
+		ctx, cancel := context.WithCancel(context.Background())
+		q := Query{K: 10, Algorithm: alg}.WithOnRound(func(r Round) {
+			if r.Round == 1 {
+				cancel()
 			}
+		})
+		_, err := db.Exec(ctx, q)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: want context.Canceled, got %v", alg, err)
 		}
 	}
 }

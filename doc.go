@@ -552,10 +552,9 @@
 // (go test -bench=. -benchtime=1x -run='^$' ./...) so the
 // figure-regeneration benchmarks cannot silently rot.
 //
-// Beyond one-shot queries: Query.Parallel executes TA/BPA/BPA2 with one
-// goroutine per list owner (identical answers and counts); Query.Sortable
-// handles sources that answer lookups but cannot be scanned (the TAz and
-// BPAz variants); NewMonitor maintains a continuous top-k over
-// sliding-window score streams with ranking-change detection; and
-// cmd/topk-serve exposes a database over an HTTP JSON API.
+// Beyond one-shot queries: Query.Sortable handles sources that answer
+// lookups but cannot be scanned (the TAz and BPAz variants); NewMonitor
+// maintains a continuous top-k over sliding-window score streams with
+// ranking-change detection; and cmd/topk-serve exposes a database over
+// an HTTP JSON API.
 package topk

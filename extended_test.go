@@ -89,43 +89,6 @@ func TestCAPeriodThroughFacade(t *testing.T) {
 	}
 }
 
-// TestParallelQuery: Parallel runs give identical answers and counts.
-func TestParallelQuery(t *testing.T) {
-	db, err := Generate(GenSpec{Kind: GenUniform, N: 500, M: 5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []Algorithm{TA, BPA, BPA2} {
-		seq, err := db.Exec(context.Background(), Query{K: 10, Algorithm: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := db.Exec(context.Background(), Query{K: 10, Algorithm: alg, Parallel: true})
-		if err != nil {
-			t.Fatalf("%v parallel: %v", alg, err)
-		}
-		if par.Stats.TotalAccesses() != seq.Stats.TotalAccesses() {
-			t.Errorf("%v: parallel %d accesses != sequential %d",
-				alg, par.Stats.TotalAccesses(), seq.Stats.TotalAccesses())
-		}
-		if len(par.Items) != len(seq.Items) {
-			t.Fatalf("%v: item counts differ", alg)
-		}
-		for i := range par.Items {
-			if par.Items[i] != seq.Items[i] {
-				t.Errorf("%v: item %d %+v != %+v", alg, i, par.Items[i], seq.Items[i])
-			}
-		}
-	}
-	// Unsupported parallel combinations fail loudly.
-	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: FA, Parallel: true}); err == nil {
-		t.Error("parallel FA accepted")
-	}
-	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: NRA, Parallel: true}); err == nil {
-		t.Error("parallel NRA accepted")
-	}
-}
-
 func TestIntervalTrackerThroughFacade(t *testing.T) {
 	db := ballotDB(t)
 	for _, alg := range []Algorithm{BPA, BPA2} {
@@ -285,9 +248,6 @@ func TestRestrictedAccessFacade(t *testing.T) {
 	}
 	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: TA, Sortable: []bool{false, false, false}}); err == nil {
 		t.Error("no-sortable-lists query accepted")
-	}
-	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: TA, Sortable: []bool{true, false, true}, Parallel: true}); err == nil {
-		t.Error("restricted parallel query accepted")
 	}
 	if _, err := db.Exec(context.Background(), Query{K: 1, Algorithm: TA, Sortable: []bool{true, false, true}, Ceilings: []float64{0, 0, 0}}); err == nil {
 		t.Error("unsound ceilings accepted")

@@ -379,7 +379,6 @@ func TestClusterQueryErrors(t *testing.T) {
 		{"-owners", owners, "-k", "3", "-explain"},       // local-mode flag
 		{"-owners", owners, "-k", "3", "-compare"},       // local-mode flag
 		{"-owners", owners, "-k", "3", "-alg", "ta"},     // local-mode flag
-		{"-owners", owners, "-k", "3", "-parallel"},      // local-mode flag
 		{"-owners", owners, "-k", "3", "-approx", "1.5"}, // local-mode flag
 		{"-owners", owners, "-k", "3", "-dist"},          // local-mode flag
 	}

@@ -28,7 +28,6 @@ func Query(args []string, stdout, stderr io.Writer) int {
 		scoring  = fs.String("scoring", "sum", "scoring function: sum, avg, min, max, wsum")
 		weights  = fs.String("weights", "", "comma-separated weights for -scoring wsum")
 		theta    = fs.Float64("approx", 0, "approximation factor θ >= 1 (0 = exact)")
-		par      = fs.Bool("parallel", false, "one goroutine per list owner (ta, bpa, bpa2)")
 		compare  = fs.Bool("compare", false, "run every algorithm and print a comparison")
 		distFlag = fs.Bool("dist", false, "run the distributed protocols and print message counts")
 		owners   = fs.String("owners", "", "cluster topology for cluster mode: lists comma-separated, replicas of a list |-separated (host:a|host:b,host:c); list i's addresses must serve list i")
@@ -65,8 +64,8 @@ func Query(args []string, stdout, stderr io.Writer) int {
 		var conflict string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "db", "csv", "owners", "alg", "approx", "parallel", "compare",
-				"dist", "explain", "trace", "verbose", "policy", "restart":
+			case "db", "csv", "owners", "alg", "approx", "compare", "dist",
+				"explain", "trace", "verbose", "policy", "restart":
 				conflict = f.Name
 			}
 		})
@@ -87,7 +86,7 @@ func Query(args []string, stdout, stderr io.Writer) int {
 		var conflict string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "alg", "approx", "parallel", "compare", "dist", "explain":
+			case "alg", "approx", "compare", "dist", "explain":
 				conflict = f.Name
 			}
 		})
@@ -168,7 +167,7 @@ func Query(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "topk-query: %v\n", err)
 		return 1
 	}
-	q := topk.Query{K: *k, Algorithm: alg, Scoring: sc, Approximation: *theta, Parallel: *par}
+	q := topk.Query{K: *k, Algorithm: alg, Scoring: sc, Approximation: *theta}
 	var res *topk.Result
 	if *explain {
 		res, err = db.Explain(q, stdout)

@@ -29,10 +29,10 @@ import (
 // accesses for already-seen items — the algorithm's step 1 "maintains"
 // the seen scores and positions, so nothing needs re-fetching. Memoized
 // BPA stops at exactly the same position with the same answers; only the
-// random-access count drops. See EXPERIMENTS.md: the paper's measured
-// uniform-database gains of (m+6)/8 over TA are only reachable with
-// memoization, while its Lemma 2 and Figure 2 example describe the
-// non-memoized accounting; we reproduce both.
+// random-access count drops. The paper's measured uniform-database gains
+// of (m+6)/8 over TA are only reachable with memoization, while its
+// Lemma 2 and Figure 2 example describe the non-memoized accounting; we
+// reproduce both (TestFigure2MemoizedBPA).
 func BPA(pr *access.Probe, opts Options) (*Result, error) {
 	db := pr.DB()
 	if err := opts.validate(db); err != nil {

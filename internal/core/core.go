@@ -105,10 +105,10 @@ type Options struct {
 	// The paper's formal accounting (Lemma 2, and the worked example of
 	// Section 5.1) is NON-memoized: #random = #sorted * (m-1) always.
 	// Its measured uniform-database gains for BPA, however, match the
-	// memoized variant (see EXPERIMENTS.md), and its Section 7 remark
-	// that "even if TA were keeping track of all seen data items, it
-	// could not stop at a smaller position" explicitly contemplates the
-	// memoized TA. Both variants are therefore first-class here.
+	// memoized variant (the figures' BPA-mem series), and its Section 7
+	// remark that "even if TA were keeping track of all seen data items,
+	// it could not stop at a smaller position" explicitly contemplates
+	// the memoized TA. Both variants are therefore first-class here.
 	Memoize bool
 	// Observer, when non-nil, receives a RoundInfo snapshot after every
 	// round of TA, BPA and BPA2 — the data behind the paper's worked
@@ -148,8 +148,7 @@ func (o Options) theta() float64 {
 
 // Interrupted returns Ctx's error once it is canceled or past its
 // deadline; a nil Ctx never interrupts. The algorithms call it at their
-// access boundaries; exported for executors outside this package
-// (internal/parallel).
+// access boundaries.
 func (o Options) Interrupted() error {
 	if o.Ctx == nil {
 		return nil
@@ -157,11 +156,8 @@ func (o Options) Interrupted() error {
 	return o.Ctx.Err()
 }
 
-// Validate checks the options against a database. It is what every
-// algorithm entry point runs first; exported for executors outside this
-// package (internal/parallel).
-func (o Options) Validate(db *list.Database) error { return o.validate(db) }
-
+// validate checks the options against a database. It is what every
+// algorithm entry point runs first.
 func (o Options) validate(db *list.Database) error {
 	if db == nil {
 		return fmt.Errorf("core: nil database")

@@ -171,7 +171,7 @@ func TestAllTiedScores(t *testing.T) {
 }
 
 // TestRegressionBPA2Overshoot pins the counterexample to the paper's
-// "same best positions" claim found by property testing (DESIGN.md):
+// "same best positions" claim found by TestPropertyBPA2RoundsBound:
 // BPA and BPA2 legitimately end with different best positions here, but
 // all the paper's provable guarantees must hold.
 func TestRegressionBPA2Overshoot(t *testing.T) {

@@ -211,8 +211,8 @@ func TestFigure2BPAvsBPA2(t *testing.T) {
 	assertItems(t, bpa2.Items, want)
 }
 
-// TestFigure2MemoizedBPA pins the memoization analysis of EXPERIMENTS.md
-// Finding 1 on the paper's own example: over Figure 2, literal BPA does
+// TestFigure2MemoizedBPA pins why the paper's measured BPA gains need
+// memoization, on the paper's own example: over Figure 2, literal BPA does
 // 21 sorted + 42 random accesses (the paper's numbers), while memoized
 // BPA — same stop position 7, same answers — does only 24 random
 // accesses: rounds 4-6 re-scan items d3/d5/d4, d7/d9/d2, d8/d1/d6 whose

@@ -214,7 +214,7 @@ func TestPropertyTheorem5And7(t *testing.T) {
 // claim — that both stop at exactly the same best positions — holds for
 // the Figure 2 example (asserted in TestFigure2BPAvsBPA2) but not for
 // every database: BPA2's deeper probes can cascade and overshoot BPA's
-// final best positions. See DESIGN.md.
+// final best positions; TestRegressionBPA2Overshoot pins a counterexample.
 func TestPropertyBPA2RoundsBound(t *testing.T) {
 	prop := func(seed int64, nRaw, mRaw, kRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

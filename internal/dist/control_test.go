@@ -105,10 +105,11 @@ func countedCluster(t *testing.T, db *list.Database, reps int, policy transport.
 	return hc, counters
 }
 
-// TestQueryControlRequests: a query over HTTP costs its /rpc exchanges
-// plus one /session/close per replica it contacted — no /session/open
-// and no /stats, over flat and replicated topologies alike — and leaves
-// no session behind at any owner.
+// TestQueryControlRequests: dialing costs one /stats per replica; a
+// query over HTTP then costs its /rpc exchanges plus one /session/close
+// per replica it contacted — no /session/open and no /stats, over flat
+// and replicated topologies alike — still reports its accesses (from
+// the receipts), and leaves no session behind at any owner.
 func TestQueryControlRequests(t *testing.T) {
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 500, M: 3, Seed: 11})
 	opts := Options{K: 10, Scoring: score.Sum{}}
@@ -121,9 +122,12 @@ func TestQueryControlRequests(t *testing.T) {
 		{"replicated-round-robin", 2, transport.RouteRoundRobin},
 	} {
 		hc, counters := countedCluster(t, db, topo.reps, topo.policy)
-		for _, cs := range counters {
-			for _, c := range cs {
-				c.take() // the dial handshake
+		for li, cs := range counters {
+			for ri, c := range cs {
+				if got := c.take(); got["/stats"] != 1 {
+					t.Errorf("%s: dial handshake made %d /stats at list %d replica %d, want 1",
+						topo.name, got["/stats"], li, ri)
+				}
 			}
 		}
 		for _, p := range overProtocols {
@@ -131,6 +135,9 @@ func TestQueryControlRequests(t *testing.T) {
 				res, err := p.run(context.Background(), hc, opts)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if res.Accesses.Total() == 0 {
+					t.Error("no accesses reported without /stats")
 				}
 				rpcs := 0
 				for li, cs := range counters {

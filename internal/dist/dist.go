@@ -87,7 +87,7 @@ type Options struct {
 	Trace bool
 }
 
-// validate mirrors core.Options.Validate for the distributed setting;
+// validate mirrors core's Options.validate for the distributed setting;
 // n is the shared list length reported by the transport.
 func (o Options) validate(n int) error {
 	if o.Scoring == nil {

@@ -2,30 +2,22 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"topk/internal/access"
 	"topk/internal/core"
 	"topk/internal/gen"
-	"topk/internal/parallel"
 	"topk/internal/score"
 )
 
-// This file registers the extension experiments that place the paper's
-// algorithms inside the wider Fagin framework (NRA, CA) and measure the
-// parallel executor. Neither appears in the paper; DESIGN.md lists both
-// as ablations.
+// This file registers the fagin ablation, which places the paper's
+// algorithms inside the wider Fagin framework (NRA, CA); the paper
+// evaluates neither.
 
 func init() {
 	register(Experiment{
 		ID:    "fagin",
 		Title: "Fagin-framework baselines: execution cost of TA/NRA/CA vs BPA/BPA2 (uniform database)",
 		Run:   runFagin,
-	})
-	register(Experiment{
-		ID:    "parallel",
-		Title: "Parallel executor: wall-clock time of sequential vs per-list-goroutine runs",
-		Run:   runParallel,
 	})
 }
 
@@ -78,48 +70,3 @@ func runFagin(cfg Config) (*Table, error) {
 	}
 	return tbl, nil
 }
-
-// runParallel compares wall-clock response time of the sequential and the
-// per-list-goroutine executor for TA and BPA2. Answers and access counts
-// are identical by construction (asserted in internal/parallel's tests);
-// only the schedule differs, so this table isolates the scheduling gain.
-func runParallel(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	n := cfg.scaled(cfg.N)
-	tbl := &Table{
-		ID:      "parallel",
-		Title:   "Sequential vs parallel executor response time (uniform database, k=20)",
-		XLabel:  "m",
-		Metric:  "response time (ms)",
-		Columns: []string{"TA seq", "TA par", "BPA2 seq", "BPA2 par"},
-	}
-	for _, m := range []int{2, 4, 8, 12, 16} {
-		row := Row{Label: fmt.Sprintf("%d", m), Values: map[string]float64{}}
-		for trial := 0; trial < cfg.Trials; trial++ {
-			db, err := gen.Generate(gen.Spec{Kind: gen.Uniform, N: n, M: m, Seed: cfg.Seed + int64(trial)})
-			if err != nil {
-				return nil, err
-			}
-			for _, alg := range []core.Algorithm{core.AlgTA, core.AlgBPA2} {
-				opts := core.Options{K: cfg.K, Scoring: score.Sum{}, Tracker: cfg.Tracker}
-				start := time.Now()
-				if _, err := core.Run(alg, db, opts); err != nil {
-					return nil, err
-				}
-				row.Values[alg.String()+" seq"] += ms(time.Since(start))
-				start = time.Now()
-				if _, err := parallel.Run(alg, db, opts); err != nil {
-					return nil, err
-				}
-				row.Values[alg.String()+" par"] += ms(time.Since(start))
-			}
-		}
-		for c := range row.Values {
-			row.Values[c] /= float64(cfg.Trials)
-		}
-		tbl.Rows = append(tbl.Rows, row)
-	}
-	return tbl, nil
-}
-
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

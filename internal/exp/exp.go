@@ -1,8 +1,8 @@
 // Package exp defines and runs the experiments of the paper's performance
 // evaluation (Section 6). Every figure of the paper has a registered
 // experiment that regenerates its data series; additional experiments
-// cover the paper's worked examples and the ablations called out in
-// DESIGN.md.
+// cover the paper's worked examples, the ablations (trackers, tamemo,
+// fagin) and the distributed extensions (dist, dht).
 //
 // Experiments are sized by a Config whose zero value reproduces the
 // paper's defaults (Table 1: n=100,000, k=20, m=8, Sum scoring, three
@@ -191,7 +191,7 @@ type series struct {
 // BPA and BPA2; we additionally plot the memoized BPA ("BPA-mem"),
 // because the paper's measured uniform-database gains are only
 // reproducible with memoization while its formal accounting (Lemma 2) is
-// non-memoized — EXPERIMENTS.md discusses the discrepancy.
+// non-memoized; TestFigure2MemoizedBPA pins both on Figure 2.
 func comparedSeries() []series {
 	return []series{
 		{name: "TA", alg: core.AlgTA},

@@ -15,7 +15,8 @@ import (
 )
 
 // This file registers the non-sweep experiments: the paper's Table 1 and
-// worked examples, and the ablations listed in DESIGN.md.
+// worked examples, the trackers and tamemo ablations, and the dist
+// protocol comparison.
 
 func init() {
 	register(Experiment{

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestRenderGolden pins the exact text format of the table renderer so
-// accidental format drift is caught (EXPERIMENTS.md quotes these tables).
+// TestRenderGolden pins the exact text format of the table renderer,
+// which topk-bench prints, so accidental format drift is caught.
 func TestRenderGolden(t *testing.T) {
 	tbl := &Table{
 		ID: "figX", Figure: "Figure X", Title: "golden", Metric: "execution cost",

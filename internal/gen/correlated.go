@@ -20,9 +20,10 @@ func pow(x, y float64) float64 { return math.Pow(x, y) }
 //	... follow the Zipf law with the Zipf parameter θ = 0.7."
 //
 // The paper leaves the direction of the displacement unspecified; we pick
-// the sign uniformly at random and clamp to [1, n] (documented in
-// DESIGN.md). Nearest-free-position lookup uses a disjoint-set allocator,
-// so building a list is O(n α(n)) instead of the naive O(n^2).
+// the sign uniformly at random and clamp to [1, n], so an item is as
+// likely to move up as down. Nearest-free-position lookup uses a
+// disjoint-set allocator, so building a list is O(n α(n)) instead of the
+// naive O(n^2).
 func correlated(spec Spec, rng *rand.Rand) (*list.Database, error) {
 	n, m := spec.N, spec.M
 	theta := spec.Theta

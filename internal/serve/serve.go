@@ -8,8 +8,8 @@
 //	/v1/info           database dimensions
 //	/v1/algorithms     available algorithm names
 //	/v1/topk           run a query: k, alg, scoring, weights, theta,
-//	                   tracker, parallel, sortable (per-list flags for
-//	                   the restricted-access TAz/BPAz variants)
+//	                   tracker, sortable (per-list flags for the
+//	                   restricted-access TAz/BPAz variants)
 //	/v1/dist           run a query under a distributed protocol (k,
 //	                   protocol, scoring, weights, tracker, restart —
 //	                   off/failed/always, the per-query restart policy;
@@ -282,12 +282,6 @@ func (s *Server) parseQuery(r *http.Request) (topk.Query, error) {
 			return q, err
 		}
 	}
-	if p := params.Get("parallel"); p != "" {
-		q.Parallel, err = strconv.ParseBool(p)
-		if err != nil {
-			return q, fmt.Errorf("bad parallel %q: %v", p, err)
-		}
-	}
 	if so := params.Get("sortable"); so != "" {
 		for _, p := range strings.Split(so, ",") {
 			v, err := strconv.ParseBool(strings.TrimSpace(p))
@@ -513,10 +507,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	q, err := s.parseQuery(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if q.Parallel {
-		writeError(w, http.StatusBadRequest, "explain is a sequential walkthrough; drop parallel")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

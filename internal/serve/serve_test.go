@@ -135,7 +135,6 @@ func TestTopKAlgorithmsAndOptions(t *testing.T) {
 		"k=3&alg=bpa&tracker=interval",
 		"k=3&alg=nra",
 		"k=3&alg=ca",
-		"k=3&alg=bpa2&parallel=true",
 		"k=3&alg=ta&theta=1.5",
 		"k=3&scoring=wsum&weights=2,1,0.5",
 		"k=3&scoring=min",
@@ -164,8 +163,6 @@ func TestTopKErrors(t *testing.T) {
 		"k=2&theta=zzz",                 // bad theta
 		"k=2&theta=0.5",                 // theta < 1
 		"k=2&tracker=zzz",               // unknown tracker
-		"k=2&parallel=maybe",            // bad bool
-		"k=2&alg=nra&parallel=1",        // parallel unsupported for NRA
 		"k=2&alg=ta&sortable=1,maybe,1", // bad sortable flag
 		"k=2&alg=ta&sortable=0,0,0",     // no sortable list
 		"k=2&alg=bpa2&sortable=1,0,1",   // restricted BPA2 unsupported
@@ -511,8 +508,6 @@ func TestExplain(t *testing.T) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
 	}
-	// Parallel explain is refused.
-	getJSON(t, ts.URL+"/v1/explain?k=2&parallel=true", http.StatusBadRequest, nil)
 }
 
 func TestUnknownPath(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"topk/internal/bestpos"
 	"topk/internal/core"
 	"topk/internal/list"
-	"topk/internal/parallel"
 	"topk/internal/score"
 )
 
@@ -103,7 +102,7 @@ const (
 	BPlusTreeTracker Tracker = Tracker(bestpos.BPlusTreeKind)
 	// IntervalTracker stores the seen positions as maximal runs in
 	// endpoint hash maps: O(1) amortized per access, O(u) space. Not in
-	// the paper; see DESIGN.md's tracker ablation.
+	// the paper; the trackers experiment times it against the other two.
 	IntervalTracker Tracker = Tracker(bestpos.IntervalKind)
 )
 
@@ -127,11 +126,6 @@ type Query struct {
 	// guaranteed to be at least every skipped score (for non-negative
 	// scores). Zero means exact.
 	Approximation float64
-	// Parallel executes the query with one goroutine per list owner
-	// (the paper's "sorted access in parallel" taken literally).
-	// Supported for TA, BPA and BPA2; answers and access counts are
-	// identical to the sequential run, only wall-clock time changes.
-	Parallel bool
 	// Floors gives NRA and CA each list's minimum possible local score
 	// for their worst-case bounds. Nil reads the list tails (list-owner
 	// metadata). Ignored by the other algorithms.
@@ -210,8 +204,8 @@ type Result struct {
 // answers with the execution profile — the context-aware front door of
 // the centralized algorithms. Cancellation and deadlines are honored at
 // access granularity: the algorithms check ctx every sorted/probe round
-// and return ctx.Err() as soon as it fires, whether the query runs
-// sequentially, in parallel, or in a restricted-access variant.
+// and return ctx.Err() as soon as it fires, in the restricted-access
+// variants too.
 func (db *Database) Exec(ctx context.Context, q Query) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -252,9 +246,6 @@ func (db *Database) Exec(ctx context.Context, q Query) (*Result, error) {
 	var res *core.Result
 	switch {
 	case q.Sortable != nil:
-		if q.Parallel {
-			return nil, fmt.Errorf("topk: restricted-access runs are sequential; drop Parallel")
-		}
 		restr := core.Restricted{Sortable: q.Sortable, Ceilings: q.Ceilings}
 		switch alg {
 		case core.AlgTA:
@@ -264,8 +255,6 @@ func (db *Database) Exec(ctx context.Context, q Query) (*Result, error) {
 		default:
 			return nil, fmt.Errorf("topk: %v needs sorted or positional access to every list; use TA or BPA with Sortable", q.Algorithm)
 		}
-	case q.Parallel:
-		res, err = parallel.Run(alg, db.db, opts)
 	default:
 		res, err = core.Run(alg, db.db, opts)
 	}
