@@ -119,7 +119,7 @@ type RecoveryStats struct {
 	// before the query completed (see ClusterConfig.Restart).
 	Restarts int
 	// Handoffs counts pinned sessions handed off to a sibling replica
-	// mid-protocol after a pinned replica died.
+	// mid-protocol after the pinned replica spent its retry budget.
 	Handoffs int
 	// FailedReplicas counts distinct replicas that failed during the
 	// query, including replicas that failed attempts a restart
@@ -262,11 +262,11 @@ func distStatsOf(res *dist.Result) DistStats {
 // OwnerFailedError reports a list owner replica failing mid-query on
 // traffic the transport could not recover in place: BPA2's probes,
 // TPUT's phase-2 scans and the other sessionful exchanges live on the
-// cursors of exactly one pinned replica. Normally a pinned replica's
-// death is absorbed by the session handoff — the client sends a sibling
-// the session's state and re-pins there — so this error surfaces only
-// when no sibling takes the session: a flat (unreplicated) list, or
-// every sibling already failed or refused the handoff. The
+// cursors of exactly one pinned replica. Normally a failed exchange is
+// absorbed by a session restore — the client ships the session's state
+// to the pin, or else to a sibling it re-pins to, and re-sends — so
+// this error surfaces only when no replica of the list accepts the
+// restore within the retry budget. The
 // error names the list and replica; rerunning the query opens a fresh
 // session pinned to a live replica — ClusterConfig.Restart (or
 // WithRestart) does that rerun automatically. Stateless traffic (TA/BPA
@@ -309,7 +309,7 @@ func liftOwnerFailure(err error) error {
 // RestartPolicy decides when a cluster query that failed on a dying
 // replica is automatically rerun from scratch on the surviving
 // replicas (see ClusterConfig.Restart and WithRestart). Restart
-// composes with the transport's session handoff: handoff repairs a
+// composes with the transport's session restore: a restore repairs a
 // run in place without losing protocol state; restart is the coarser
 // fallback that throws the partial run away and reruns the whole
 // protocol. Either way the completing run's answers and primary
@@ -622,10 +622,12 @@ type ClusterConfig struct {
 	HealthInterval time.Duration
 	// RequestTimeout bounds every HTTP attempt (default 30s).
 	RequestTimeout time.Duration
-	// Retries is the transient-failure budget of a replayable exchange:
-	// how many extra attempts it may spend, against a sibling replica
-	// when one is routable. 0 means the default (1); negative disables
-	// retries.
+	// Retries is the failure budget of an exchange on one replica: how
+	// many extra attempts it may spend there. A stateless exchange
+	// spends them on a sibling replica when one is routable; a
+	// sessionful one restores its session at the pinned replica before
+	// each, then moves to the siblings. 0 means the default (1);
+	// negative disables retries.
 	Retries int
 	// BackoffBase and BackoffCap shape the full-jitter exponential
 	// backoff slept before each retry: the a-th re-attempt sleeps a
@@ -719,10 +721,10 @@ func DialClusterConfig(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 // DialClusterConfig(context.Background(), ClusterConfig{Topology: one
 // replica per list}): every owner must agree on the list length and the
 // number of lists, all sessions share one pooled HTTP client, every
-// request is bounded by a per-request timeout and — when replaying it
-// cannot change what the query observes — retried once on transient
-// failures (connection errors, 5xx), with the failing owner named in
-// the returned error. For replicated lists, routing policies and
+// request is bounded by a per-request timeout and retried once on
+// transient failures (connection errors, 5xx) — a cursor-advancing one
+// after its session is restored at the owner — with the failing owner
+// named in the returned error. For replicated lists, routing policies and
 // mid-query failover, see DialClusterConfig.
 func DialCluster(owners []string) (*Cluster, error) {
 	topo := make([][]string, len(owners))

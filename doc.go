@@ -176,13 +176,13 @@
 // client (connections are reused across sessions rather than
 // re-handshaken per exchange). The client bounds every request with a
 // per-request timeout and retries once on transient owner failures
-// (connection errors, 5xx), naming the failing owner in the error;
-// exchanges that advance an owner-side cursor (BPA2's probe, TPUT's
-// phase-2 scan, or any batch containing one) are never replayed — a
-// retry there could silently skip list entries, so those fail fast
-// instead. Owners evict sessions left idle past a TTL (topk-owner
-// -session-ttl, default 15m) so crashed originators cannot starve the
-// per-owner session limit; evictions are reported in /stats.
+// (connection errors, 5xx), naming the failing owner in the error; an
+// exchange that advances an owner-side cursor (BPA2's probe, TPUT's
+// phase-2 scan, or any batch containing one) is re-sent only after the
+// session's acknowledged state is restored at the owner, so a retry
+// never skips a list entry. Owners evict sessions left idle past a TTL
+// (topk-owner -session-ttl, default 15m) so crashed originators cannot
+// starve the per-owner session limit; evictions are reported in /stats.
 // cmd/topk-serve -owners exposes a remote cluster through the /v1/dist
 // JSON endpoint, one session per API request.
 //
@@ -206,48 +206,49 @@
 //	fastest      healthy replica with lowest EWMA
 //
 // A query session opens at a replica with the first exchange (or
-// handoff sync) that reaches it, so a query costs its exchanges plus
+// restore) that reaches it, so a query costs its exchanges plus
 // one close per replica it contacted, and a sibling that takes over
 // traffic mid-query opens the session then; cursor-bearing
 // ("sessionful") traffic pins each session to one replica per list,
-// chosen by the policy. What a
-// replica crash does mid-query depends on what the traffic was and on
-// the recovery machinery below:
+// chosen by the policy. What a failure does mid-query depends on what
+// the traffic was:
 //
-//	traffic                        state touched     on replica failure
-//	sorted, lookup, fetch          none              fails over to a sibling;
-//	  (TA, BPA, TPUT phase 1+3)                      query completes, answers
-//	                                                 and accounting unchanged
-//	mark, topk (replayable but     tracker, depth    session handoff: a sibling
-//	  cursor-bearing)                                is sent the session's
-//	                                                 state and the exchange is
-//	                                                 re-sent there
-//	probe, above (non-replayable)  tracker, depth    session handoff; safe even
-//	  (BPA2, TPUT phase 2)                           without replayability — the
-//	                                                 shipped state lacks only
-//	                                                 the failed exchange
+//	traffic                     state touched    on a failed exchange
+//	sorted, lookup, fetch       none             re-sent, failing over to a
+//	  (TA, BPA, TPUT phase 1+3)                  sibling; answers and
+//	                                             accounting unchanged
+//	probe, mark, topk, above    tracker, depth   the session's state is
+//	  (BPA2, TPUT phase 1+2)                     restored at the pin, then
+//	                                             at a sibling, and the
+//	                                             exchange re-sent there
 //
-// When no sibling accepts the handoff, sessionful failures surface as
+// When no replica accepts the restore, a sessionful failure surfaces as
 // *OwnerFailedError naming the list and replica, and the restart policy
 // decides whether the query is transparently rerun on the survivors.
 //
-// # Recovery: session handoff and automatic restart
+// # Recovery: session restore and automatic restart
 //
-// Two mechanisms together make replica death invisible to callers —
+// Two mechanisms together make replica failures invisible to callers —
 // zero failed queries as long as each list keeps one live replica.
 //
-// Session handoff (always on): every exchange's receipt reports what it
-// did to the session — positions newly seen, scan depth — and for each
-// list with a sibling replica the client merges those receipts into its
-// own copy of the session state. The copy is therefore exactly the
-// pin's state as of the last exchange acknowledged to the client, and
-// while the pin lives no other replica is contacted. If the pin dies,
-// the client ships the copy to a sibling that holds the session, in one
-// uncharged control-plane POST /session/sync, re-pins there and
-// resumes; a sibling that refuses the sync is passed over for the next.
-// Because the failed exchange was never applied-and-acknowledged
-// anywhere the client kept, no cursor advances twice and no list entry
-// is skipped, even for the non-replayable probe/above traffic.
+// Session restore (always on): every exchange's receipt reports what it
+// did to the session — positions newly seen, scan depth — and the
+// client merges the receipts of each list's sessionful exchanges into
+// its own copy of the session state, numbering those exchanges. The
+// copy is exactly the pin's state as of the last exchange acknowledged
+// to the client, and while the pin answers no other replica is
+// contacted. The rule for every failed sessionful exchange — a
+// transient error, a torn or corrupt response, a replica that lost the
+// session (404) or is out of sequence (409) — is one: ship the copy in
+// one uncharged control-plane POST /session/sync, which replaces the
+// replica's state for the session, then re-send. The pin is restored
+// first, up to the retry budget; then each sibling in policy order,
+// and the first that accepts becomes the pin (a handoff). Each exchange
+// carries its sequence number, and an owner runs only the next one, so
+// an attempt still in flight after its timeout can never advance a
+// restored cursor. No cursor advances twice and no list entry is
+// skipped, and each access is charged once, from the receipt of the
+// attempt the client acknowledged.
 //
 // Query restart (originator side, opt-in): ClusterConfig.Restart — or
 // per-query WithRestart — reruns a query that still failed (for

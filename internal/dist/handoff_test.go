@@ -23,19 +23,21 @@ import (
 // need: it dies after serving killAfter /rpc calls (never when
 // negative), can refuse every /session/sync with a 500, and can tear
 // the response of its tearProbe-th exchange that carries a probe (bare
-// or riding in a batch) or of its tearMarks-th batch of marks alone —
-// the owner applies the exchange, the client gets half a frame, and the
-// replica dies.
+// or riding in a batch), of its tearMarks-th batch of marks alone or of
+// its tearAbove-th above-scan — the owner applies the exchange, the
+// client gets half a frame, and the replica dies unless survive is set.
 type handoffGate struct {
 	inner      http.Handler
 	killAfter  int64
 	tearProbe  int64
 	tearMarks  int64
+	tearAbove  int64
+	survive    bool
 	refuseSync atomic.Bool
 
-	rpcs, probes, markBatches, syncs atomic.Int64
-	torn                             atomic.Int64 // logical requests in the torn exchange
-	dead                             atomic.Bool
+	rpcs, probes, markBatches, aboves, syncs atomic.Int64
+	torn                                     atomic.Int64 // logical requests in the torn exchange
+	dead                                     atomic.Bool
 }
 
 func (g *handoffGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -64,7 +66,7 @@ func (g *handoffGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			body := rec.Body.Bytes()
 			_, _ = w.Write(body[:len(body)/2])
 			w.(http.Flusher).Flush()
-			g.dead.Store(true)
+			g.dead.Store(!g.survive)
 			panic(http.ErrAbortHandler)
 		}
 	}
@@ -75,7 +77,7 @@ func (g *handoffGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // whether this is the one to tear. It reads the request body to see
 // what the exchange carries, and leaves it readable for the owner.
 func (g *handoffGate) tears(r *http.Request) bool {
-	if g.tearProbe == 0 && g.tearMarks == 0 {
+	if g.tearProbe == 0 && g.tearMarks == 0 && g.tearAbove == 0 {
 		return false
 	}
 	body, err := io.ReadAll(r.Body)
@@ -95,6 +97,8 @@ func (g *handoffGate) tears(r *http.Request) bool {
 	switch {
 	case slices.ContainsFunc(reqs, func(q transport.Request) bool { return q.Kind() == transport.KindProbe }):
 		tear = g.probes.Add(1) == g.tearProbe
+	case req.Kind() == transport.KindAbove:
+		tear = g.aboves.Add(1) == g.tearAbove
 	case len(reqs) > 1:
 		tear = g.markBatches.Add(1) == g.tearMarks
 	}
@@ -346,6 +350,55 @@ func TestHandoffAfterTornBatch(t *testing.T) {
 			sameRun(t, got, want)
 			if got.Recovery.Handoffs != 1 || got.Recovery.FailedReplicas != 1 {
 				t.Errorf("recovery = %+v, want 1 handoff and 1 failed replica", got.Recovery)
+			}
+		})
+	}
+}
+
+// TestRestoreAfterTornExchange: on a flat one-replica cluster the owner
+// applies a cursor-advancing exchange — BPA2's third probe on list 0,
+// or TPUT's above-scan there — and its response is torn in flight, but
+// the replica lives. The session restores its acknowledged state at the
+// same replica, which rolls the torn exchange back, and re-sends: the
+// run matches the loopback oracle with no handoff.
+func TestRestoreAfterTornExchange(t *testing.T) {
+	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 200, M: 3, Seed: 5})
+	lb, err := transport.NewLoopback(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := Options{K: 8, Scoring: score.Sum{}}
+	for _, c := range []struct {
+		name string
+		run  func(context.Context, transport.Transport, Options) (*Result, error)
+		arm  func(g *handoffGate)
+	}{
+		{"dist-bpa2-probe", BPA2Over, func(g *handoffGate) { g.tearProbe = 3 }},
+		{"tput-above", TPUTOver, func(g *handoffGate) { g.tearAbove = 1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := c.run(ctx, lb, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hc, gates := gatedCluster(t, db, 1, func(li, ri int, g *handoffGate) {
+				if li == 0 {
+					g.survive = true
+					c.arm(g)
+				}
+			})
+			got, err := c.run(ctx, hc, opts)
+			if err != nil {
+				t.Fatalf("query did not survive the torn exchange: %v", err)
+			}
+			if g := gates[0][0]; g.torn.Load() == 0 || g.dead.Load() || g.syncs.Load() != 1 {
+				t.Fatalf("torn %d requests, dead %v, %d restores; want a tear, a live replica and 1 restore",
+					g.torn.Load(), g.dead.Load(), g.syncs.Load())
+			}
+			sameRun(t, got, want)
+			if got.Recovery.Handoffs != 0 {
+				t.Errorf("recovery = %+v, want 0 handoffs", got.Recovery)
 			}
 		})
 	}

@@ -16,12 +16,10 @@ var mDistRestarts = obs.GetCounter("topk_dist_restarts_total", "Query reruns spe
 
 // RestartPolicy decides when the restart driver may rerun a failed
 // query from scratch on the surviving replicas. It composes with the
-// transport's mid-protocol session handoff: handoff repairs a run in
-// place without losing protocol state; restart is the coarser fallback
-// that throws the partial run away and starts over. A stateless
-// protocol (TA, BPA — replayable exchanges only) rarely needs either;
-// a sessionful protocol whose pinned replica died with no sibling to
-// take the session needs restart to complete.
+// transport's session restore: a restore repairs a run in place without
+// losing protocol state; restart is the coarser fallback that throws
+// the partial run away and starts over, for a list where no replica
+// answers within the exchange's retry budget.
 type RestartPolicy uint8
 
 const (
@@ -78,6 +76,11 @@ func (e *ExhaustedError) Unwrap() error { return e.Err }
 // reruns spent, and FailedReplicas includes replicas that failed
 // abandoned attempts.
 //
+// Before each rerun it pauses a full-jitter backoff whose window
+// doubles with every rerun (transport.Pause), so the reruns spread past
+// a brief outage instead of all landing inside it. Cancelling ctx cuts
+// the pause short and returns the context's error.
+//
 // Failures RunWithRestart never retries: context cancellation (the
 // caller gave up — rerunning would outlive their deadline) and, under
 // RestartOnFailure, anything that is not a replica failure.
@@ -106,6 +109,9 @@ func RunWithRestart(ctx context.Context, run func() (*Result, error), cfg Restar
 		}
 		restarts++
 		mDistRestarts.Inc()
+		if err := transport.Pause(ctx, restarts); err != nil {
+			return nil, err
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"topk/internal/transport"
 )
@@ -48,6 +49,33 @@ func TestRunWithRestartOnFailure(t *testing.T) {
 	// run's tally covers them.
 	if res.Recovery.FailedReplicas != 2 {
 		t.Errorf("failed replicas = %d, want 2", res.Recovery.FailedReplicas)
+	}
+}
+
+// TestRunWithRestartPauseCancel: the driver pauses between reruns, so a
+// thousand-rerun budget against an instantly failing run is still
+// unspent when the context is cancelled; the cancellation cuts the
+// pause short and returns the context's error promptly.
+func TestRunWithRestartPauseCancel(t *testing.T) {
+	const after = 300 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(after, cancel)
+	runs := 0
+	start := time.Now()
+	_, err := RunWithRestart(ctx, func() (*Result, error) {
+		runs++
+		return nil, ownerErr()
+	}, RestartConfig{Policy: RestartOnFailure, MaxRestarts: 1000})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v after %d runs, want context.Canceled", err, runs)
+	}
+	if runs < 2 || runs > 100 {
+		t.Errorf("%d runs in %v; want reruns, paced by pauses", runs, elapsed)
+	}
+	if elapsed > after+100*time.Millisecond {
+		t.Errorf("returned %v after the cancel, want promptly", elapsed-after)
 	}
 }
 

@@ -196,7 +196,7 @@ func TestReceiptsSumToSessionStats(t *testing.T) {
 				var last Receipt
 				seen := make([]bool, n+1)
 				for j, req := range c.reqs {
-					_, rc, err := o.exchange(context.Background(), sid, req)
+					_, rc, err := o.exchange(context.Background(), sid, 0, req)
 					if err != nil {
 						t.Fatalf("req %d: %v", j, err)
 					}

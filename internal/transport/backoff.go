@@ -74,6 +74,15 @@ func (b backoff) delay(a int) time.Duration {
 	return 1 + time.Duration(rand.Int64N(int64(window)))
 }
 
+// Pause sleeps the default full-jitter backoff before retry attempt a
+// (a >= 1) — a uniform draw from (0, min(DefaultBackoffCap,
+// DefaultBackoffBase<<(a-1))] — or until ctx is done, returning the
+// context's error when it cut the sleep short. Retry loops outside the
+// transport (the dist restart driver) pace themselves with it.
+func Pause(ctx context.Context, a int) error {
+	return sleepCtx(ctx, defaultBackoff(0, 0).delay(a))
+}
+
 // sleepCtx blocks for d or until ctx is done, whichever is first,
 // returning the context's error when it cut the sleep short. A
 // non-positive d only checks the context.

@@ -188,22 +188,14 @@ func TestBodyRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestBatchScalarsAndReplayability: a batch charges the sum of its inner
-// messages, and is replayable only when every member is.
-func TestBatchScalarsAndReplayability(t *testing.T) {
+// TestBatchScalars: a batch charges the sum of its inner messages.
+func TestBatchScalars(t *testing.T) {
 	b := BatchReq{Reqs: []Request{
-		FetchReq{Items: []list.ItemID{1, 2, 3}}, // 3 scalars, replayable
-		SortedReq{Pos: 1},                       // 0 scalars, replayable
+		FetchReq{Items: []list.ItemID{1, 2, 3}}, // 3 scalars
+		SortedReq{Pos: 1},                       // 0 scalars
 	}}
 	if got := b.RequestScalars(); got != 3 {
 		t.Errorf("batch request scalars = %d, want 3", got)
-	}
-	if !b.Replayable() {
-		t.Error("all-replayable batch not replayable")
-	}
-	b.Reqs = append(b.Reqs, ProbeReq{})
-	if b.Replayable() {
-		t.Error("batch containing a probe must not be replayable")
 	}
 	r := BatchResp{Resps: []Response{
 		SortedResp{},                             // 2 scalars

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,7 +12,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,12 +42,16 @@ import (
 //	                     Until the replica acknowledges one, the
 //	                     session's exchanges add &tracker=KIND, which
 //	                     opens the session there if absent; without it
-//	                     an unknown sid is a 404 (restart or eviction)
+//	                     an unknown sid is a 404 (restart or eviction).
+//	                     A sessionful exchange adds &seq=N, its number
+//	                     among the session's sessionful exchanges on
+//	                     the list; one out of sequence is a 409
 //	POST /session/close  control-plane: release a session's state {sid}
-//	POST /session/sync   control-plane: bring a sibling replica up to a
-//	                     session's state at handoff {sid, tracker,
-//	                     ranges, depth}, opening it there if absent;
-//	                     idempotent, never charged
+//	POST /session/sync   control-plane: restore a replica's copy of a
+//	                     session to the originator's {sid, tracker,
+//	                     ranges, depth, seq}, opening it there if
+//	                     absent and replacing what it held; idempotent,
+//	                     never charged
 //	GET  /stats          control-plane: the owner's list metadata (the
 //	                     dial handshake, which also reports the owner's
 //	                     replica identity)
@@ -72,10 +76,11 @@ import (
 // Stateless exchanges are routed per-call by the configured
 // RoutingPolicy and fail over between replicas mid-query; sessionful
 // exchanges pin each session to one replica per list, and the session
-// keeps its own copy of each replicated list's state from the receipts.
-// When the pin dies the copy is shipped to a sibling in one
-// /session/sync and the session resumes there — OwnerFailedError
-// surfaces only when no sibling accepts it.
+// keeps its own copy of each list's state from the receipts. Whenever
+// a sessionful exchange fails, the copy is restored at a replica in one
+// /session/sync — the pin first, then its siblings — and the exchange
+// is re-sent there; OwnerFailedError surfaces only when no replica
+// accepts it.
 
 // Server is one list owner behind HTTP. Wrap Handler in an http.Server
 // (or httptest.Server); cmd/topk-owner is the standalone binary.
@@ -137,10 +142,9 @@ const HeaderFrameCRC = "X-Topk-Frame-Crc"
 
 // errCorruptFrame classifies a response whose body failed its checksum
 // (or could not be read or decoded at all): the exchange reached the
-// owner but its answer was damaged in flight. Transient — replayable
-// requests re-send, non-replayable sessionful ones hand off to a
-// sibling brought up to the session's acknowledged state, which
-// excludes the damaged exchange.
+// owner but its answer was damaged in flight. Transient: the client
+// re-sends it, restoring a sessionful exchange's state first, which
+// rolls back whatever the damaged exchange applied.
 var errCorruptFrame = errors.New("transport: corrupt response frame")
 
 // httpError is the uniform error payload.
@@ -187,15 +191,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusFor maps an owner error to its HTTP status: unknown sessions
-// are 404 (gone, not malformed), an expired deadline budget or vanished
-// caller is 504 (the owner abandoned the work, nobody's fault), an
-// overloaded owner is 429 (backpressure, safe to re-send), a TPUT
-// request over negative scores is 422 (RemoteError unwraps it to
-// ErrNegativeScore), everything else a caller-fault 400.
+// are 404 (gone, not malformed), an exchange out of sequence is 409
+// (the replica's copy of the session is out of step), an expired
+// deadline budget or vanished caller is 504 (the owner abandoned the
+// work, nobody's fault), an overloaded owner is 429 (backpressure, safe
+// to re-send), a TPUT request over negative scores is 422 (RemoteError
+// unwraps it to ErrNegativeScore), everything else a caller-fault 400.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownSession):
 		return http.StatusNotFound
+	case errors.Is(err, ErrOutOfSequence):
+		return http.StatusConflict
 	case errors.Is(err, ErrNegativeScore):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -223,16 +230,18 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 // sessionBody is the /session/sync and /session/close request payload.
 // A sync carries the replicable state of one (session, list) pair as
 // the originator holds it — the tracker kind, the seen positions
-// compressed into Ranges ([lo,hi] inclusive) and the scan Depth; a
-// close reads only SID.
+// compressed into Ranges ([lo,hi] inclusive), the scan Depth and the
+// number of sessionful exchanges acknowledged, Seq; a close reads only
+// SID.
 type sessionBody struct {
 	SID     string   `json:"sid"`
 	Tracker uint8    `json:"tracker,omitempty"`
 	Ranges  [][2]int `json:"ranges,omitempty"`
 	Depth   int      `json:"depth,omitempty"`
+	Seq     uint64   `json:"seq,omitempty"`
 }
 
-// handleSync applies a handoff state transfer (see Owner.SyncSession).
+// handleSync applies a session restore (see Owner.SyncSession).
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
@@ -247,7 +256,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty session ID")
 		return
 	}
-	if err := s.owner.SyncSession(body.SID, bestpos.Kind(body.Tracker), body.Ranges, body.Depth); err != nil {
+	if err := s.owner.SyncSession(body.SID, bestpos.Kind(body.Tracker), body.Ranges, body.Depth, body.Seq); err != nil {
 		writeError(w, statusFor(err), "%v", err)
 		return
 	}
@@ -347,10 +356,15 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing sid parameter")
 		return
 	}
+	seq, err := strconv.ParseUint(cmp.Or(q.Get("seq"), "0"), 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad seq parameter: %v", err)
+		return
+	}
 	kind := Kind(strings.TrimPrefix(r.URL.Path, "/rpc/"))
 	// Admission control, before the body is read or any work done: a
 	// shed exchange ran nothing, which is what makes the 429 safe to
-	// re-send even for non-replayable kinds.
+	// re-send as it is.
 	if !s.owner.TryAcquire() {
 		writeError(w, http.StatusTooManyRequests, "transport: %v: %s exchange shed", ErrOverloaded, kind)
 		return
@@ -422,12 +436,11 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	resp, rc, err := s.owner.exchange(ctx, sid, req)
+	resp, rc, err := s.owner.exchange(ctx, sid, seq, req)
 	if err != nil {
 		// Owner errors are malformed requests (bad position, bad item),
-		// unknown sessions, or an abandoned deadline budget — statusFor
-		// tells the client which (only the last is worth a retry, and
-		// only with time left).
+		// unknown sessions, exchanges out of sequence, or an abandoned
+		// deadline budget — statusFor tells the client which.
 		writeError(w, statusFor(err), "%v", err)
 		return
 	}
@@ -468,10 +481,12 @@ type DialConfig struct {
 	HealthInterval time.Duration
 	// RequestTimeout bounds each HTTP attempt. 0 means DefaultTimeout.
 	RequestTimeout time.Duration
-	// Retries is the number of extra attempts a replayable exchange may
-	// spend on transient failures — against a sibling replica when one
-	// is routable, the same replica otherwise. 0 means DefaultRetries;
-	// negative disables retries entirely.
+	// Retries is the number of extra attempts an exchange may spend on
+	// one replica after a failure. A stateless exchange spends them
+	// failing over to a sibling when one is routable, and the same
+	// replica otherwise; a sessionful one restores the session at its
+	// pinned replica before each, then moves to the siblings. 0 means
+	// DefaultRetries; negative disables retries entirely.
 	Retries int
 	// BackoffBase and BackoffCap shape the full-jitter exponential
 	// backoff slept before each retry: attempt a sleeps a uniform draw
@@ -494,9 +509,8 @@ type DialConfig struct {
 	Logger *slog.Logger
 }
 
-// DefaultRetries is the retry budget of a replayable exchange when the
-// dial config leaves it zero: one extra attempt, the pre-replica
-// behaviour.
+// DefaultRetries is the retry budget of an exchange when the dial
+// config leaves it zero: one extra attempt, the pre-replica behaviour.
 const DefaultRetries = 1
 
 // HTTPClient is the originator side of the HTTP backend: per-replica
@@ -988,11 +1002,10 @@ func (t *HTTPClient) replicaInfo(ctx context.Context, r *replica) (OwnerStats, e
 }
 
 // sessionListState is one session's per-list routing and accounting
-// state: which replicas it has reached and may still route to, the
-// replica its sessionful traffic is pinned to, and the merged receipts
-// of its acknowledged exchanges. Guarded by its mutex; contention is nil
-// in practice because a session addresses each list from one goroutine
-// at a time.
+// state: which replicas it has reached, the replica its sessionful
+// traffic is pinned to, and the merged receipts of its acknowledged
+// exchanges. Guarded by its mutex; contention is nil in practice
+// because a session addresses each list from one goroutine at a time.
 type sessionListState struct {
 	mu sync.Mutex
 	// contacted[ri]: a request of the session went out to replica ri,
@@ -1000,32 +1013,25 @@ type sessionListState struct {
 	// acknowledged an exchange or sync, so it holds the session and
 	// exchanges stop carrying the tracker marker.
 	contacted, held []bool
-	// routable[ri] is false once replica ri was dropped from this
-	// session's routing for good (a failed pin, a lost session). Only
-	// one goroutine addresses a list at a time (the Session contract),
-	// so routing reads it without the lock.
-	routable []bool
 	// pin is the replica serving this session's sessionful exchanges,
 	// chosen by policy at first use; nil until then.
 	pin *replica
-	// failed[ri] records replicas that failed an exchange (or a handoff
-	// sync) of this session — the session's recovery bookkeeping.
+	// failed[ri] records replicas that failed an exchange (or a restore)
+	// of this session — the session's recovery bookkeeping.
 	failed []bool
-	// charged, depth and best merge the receipts of the session's
-	// acknowledged exchanges on this list, whichever replica served
-	// them: charged sums their accesses, so an exchange re-sent after a
-	// lost response counts once; depth and best take the maximum. The
-	// maximum is the pin's current state, because every replica's copy
-	// of the session is a subset of the pin's — state reaches other
-	// replicas only by a handoff sync of this copy, and a failed pin is
-	// dropped for good.
+	// charged sums the accesses of the session's acknowledged exchanges
+	// on this list, whichever replica served them, so an exchange
+	// re-sent after a lost response counts once.
 	//
-	// seen is the rest of the copy: a bitset over positions 1..n (bit p
-	// for position p) of every position the acknowledged exchanges
-	// marked seen. Together with depth it is exactly the state a sibling
-	// needs to take the session over, so it is kept only when the list
-	// has one, allocated at the first receipt that marks a position.
+	// The rest is the session's copy of the list's state, taken from the
+	// receipts of its acknowledged sessionful exchanges: acked counts
+	// them (the next one travels as acked+1, see Owner.exchange), depth
+	// and best are the pin's after the last one, and seen is a bitset
+	// over positions 1..n (bit p for position p) of every position they
+	// marked seen, allocated at the first receipt that marks one. A
+	// restore ships exactly this copy.
 	charged     access.Counts
+	acked       uint64
 	depth, best int
 	seen        []uint64
 }
@@ -1041,7 +1047,6 @@ func (t *HTTPClient) Open(ctx context.Context, tracker bestpos.Kind) (Session, e
 	for li, reps := range t.lists {
 		ls := &s.state[li]
 		ls.contacted, ls.held = make([]bool, len(reps)), make([]bool, len(reps))
-		ls.routable = slices.Repeat([]bool{true}, len(reps))
 	}
 	mClientSessOpened.Inc()
 	mClientSessionsOpen.Add(1)
@@ -1055,8 +1060,8 @@ const liveSID = "live"
 
 // updateReplica sends one update batch to one replica over the data
 // plane — binary codec, frame CRC, shed backpressure and transient
-// retries; updates are replayable by their per-feed sequence number, so
-// re-sending is always safe.
+// retries; the per-feed sequence number makes a re-sent update a no-op
+// acknowledgement, so re-sending is always safe.
 func (t *HTTPClient) updateReplica(ctx context.Context, r *replica, req UpdateReq) (UpdateResp, error) {
 	body, err := AppendRequestBinary(nil, req)
 	if err != nil {
@@ -1201,7 +1206,7 @@ type httpSession struct {
 	rec *SpanRecorder
 
 	// closed makes the open-sessions gauge's decrement fire exactly
-	// once.
+	// once, and refuses exchanges after Close.
 	closed atomic.Bool
 }
 
@@ -1217,14 +1222,19 @@ func (s *httpSession) addElapsed(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// rpcPath is the data-plane URL of one request kind for this session,
-// carrying the tracker marker that opens the session when marked.
-func (s *httpSession) rpcPath(kind Kind, marked bool) string {
-	p := "/rpc/" + string(kind) + "?sid=" + s.sid
+// rpcURL is the data-plane URL of one exchange of this session at
+// replica r. marked adds the tracker marker that opens the session
+// there; a non-zero seq numbers a sessionful exchange for the owner's
+// fence.
+func (s *httpSession) rpcURL(r *replica, kind Kind, marked bool, seq uint64) string {
+	u := r.url + "/rpc/" + string(kind) + "?sid=" + s.sid
 	if marked {
-		p += "&tracker=" + strconv.Itoa(int(s.tracker))
+		u += "&tracker=" + strconv.Itoa(int(s.tracker))
 	}
-	return p
+	if seq != 0 {
+		u += "&seq=" + strconv.FormatUint(seq, 10)
+	}
+	return u
 }
 
 // contact records that a request of this session is about to reach
@@ -1240,32 +1250,36 @@ func (s *httpSession) contact(li, ri int) (marked bool) {
 }
 
 // pinned returns the replica this session's sessionful traffic for list
-// li sticks to, choosing it by policy on first use.
-func (s *httpSession) pinned(li int) *replica {
+// li sticks to, choosing it by policy on first use, and the sequence
+// number of the list's next sessionful exchange.
+func (s *httpSession) pinned(li int) (*replica, uint64) {
 	ls := &s.state[li]
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if ls.pin == nil {
-		ls.pin = s.t.route(li, ls.routable, nil)
+		ls.pin = s.t.route(li, nil)
 	}
-	return ls.pin
+	return ls.pin, ls.acked + 1
 }
 
-// noteFailed records a replica failing an exchange (or handoff sync) of
-// this session, for the session's recovery bookkeeping.
-func (s *httpSession) noteFailed(li, ri int) {
+// noteFailed records a replica failing an exchange (or a restore) of
+// this session, for the session's recovery bookkeeping. A replica that
+// lost the session no longer holds it: the next exchange there carries
+// the tracker marker, which opens it again.
+func (s *httpSession) noteFailed(li, ri int, lost bool) {
 	ls := &s.state[li]
 	ls.mu.Lock()
 	if ls.failed == nil {
 		ls.failed = make([]bool, len(s.t.lists[li]))
 	}
 	ls.failed[ri] = true
+	ls.held[ri] = ls.held[ri] && !lost
 	ls.mu.Unlock()
 }
 
 // SessionRecovery reports the failures one session absorbed: how many
-// pin-to-sibling handoffs (state transfers by sync) it performed, how
-// many distinct replicas failed an exchange mid-query, and how many
+// pin-to-sibling handoffs (restores that moved the pin) it performed,
+// how many distinct replicas failed an exchange mid-query, and how many
 // owner sheds it waited out as backpressure. The dist runner harvests
 // it into Result.Recovery; primary accounting is untouched by any of
 // them.
@@ -1291,83 +1305,65 @@ func (s *httpSession) Recovery() SessionRecovery {
 	return rec
 }
 
-// syncTimeout caps each handoff sync: a black-holed sibling must cost a
+// syncTimeout caps each restore: a black-holed replica must cost a
 // bounded slice of the query, not a full data-plane timeout times the
-// retry budget, before the next sibling is tried.
+// retry budget, before the next replica is tried.
 const syncTimeout = 5 * time.Second
 
-// handoff re-pins the session for list li to a sibling after the pinned
-// replica failed, returning the new pin — or nil when no sibling takes
-// the session, in which case the caller surfaces the typed
-// OwnerFailedError. The failed replica is dropped from this session's
-// routing for good (its session state is stale or gone; were it to
-// serve a later exchange, cursors could advance twice). Each routable
-// sibling in policy order is sent the session's own copy of the list's
-// state in one /session/sync; the first that accepts becomes the pin. A
-// sibling that refuses is marked failed and the next is tried. Because
-// every handoff permanently drops a replica, handoffs per list are
-// bounded by the replica set.
-//
-// While no acknowledged exchange has left state on the list, the copy
-// is empty: the session re-pins to the next sibling by policy with no
-// sync, the marker opens it there, and nothing counts as a handoff.
-func (s *httpSession) handoff(ctx context.Context, li int, failed *replica) *replica {
+// restore ships the session's copy of list li's state to replica r in
+// one /session/sync, which replaces whatever r holds of the session, and
+// pins the session there. Moving the pin to a sibling counts as a
+// handoff. A replica that fails the restore is marked failed; one that
+// cannot be reached is also demoted, so routing prefers the others,
+// while one that answers with a refusal is only passed over.
+func (s *httpSession) restore(ctx context.Context, li int, r *replica) error {
 	ls := &s.state[li]
 	ls.mu.Lock()
-	ls.routable[failed.index] = false
-	if ls.depth == 0 && ls.seen == nil {
-		next := s.t.route(li, ls.routable, nil)
-		if next != nil {
-			ls.pin = next
-		}
-		ls.mu.Unlock()
-		return next
-	}
-	body := sessionBody{SID: s.sid, Tracker: uint8(s.tracker), Ranges: seenRanges(ls.seen, s.t.n), Depth: ls.depth}
+	body := sessionBody{SID: s.sid, Tracker: uint8(s.tracker), Ranges: seenRanges(ls.seen, s.t.n), Depth: ls.depth, Seq: ls.acked}
+	ls.contacted[r.index] = true
 	ls.mu.Unlock()
-	tried := make([]bool, len(s.t.lists[li]))
-	for {
-		next := s.t.route(li, ls.routable, tried)
-		if next == nil || ctx.Err() != nil {
-			return nil
+	sctx, cancel := context.WithTimeout(ctx, min(s.t.reqTimeout, syncTimeout))
+	err := s.t.doJSON(sctx, r, http.MethodPost, "/session/sync", body, nil)
+	cancel()
+	if err != nil {
+		if ctx.Err() != nil {
+			return err
 		}
-		tried[next.index] = true
-		s.contact(li, next.index)
-		sctx, cancel := context.WithTimeout(ctx, min(s.t.reqTimeout, syncTimeout))
-		err := s.t.doJSON(sctx, next, http.MethodPost, "/session/sync", body, nil)
-		cancel()
-		if err != nil {
-			// Demote the sibling so routing prefers the others.
-			s.noteFailed(li, next.index)
-			next.noteFailure()
-			s.t.noteHealth(next, false)
-			s.t.tripFailure(next)
-			s.t.log.Warn("handoff sync refused", "sid", s.sid, "list", li, "replica", next.index, "url", next.url, "err", err)
-			continue
+		s.noteFailed(li, r.index, false)
+		var re *RemoteError
+		if !errors.As(err, &re) {
+			r.noteFailure()
+			s.t.noteHealth(r, false)
+			s.t.tripFailure(r)
 		}
-		ls.mu.Lock()
-		ls.pin = next
-		ls.held[next.index] = true
-		ls.mu.Unlock()
+		s.t.log.Warn("session restore refused", "sid", s.sid, "list", li, "replica", r.index, "url", r.url, "err", err)
+		return err
+	}
+	ls.mu.Lock()
+	from := ls.pin
+	ls.pin = r
+	ls.held[r.index] = true
+	ls.mu.Unlock()
+	if from != r {
 		s.handoffs.Add(1)
 		mClientHandoffs.Inc()
-		s.t.log.Info("session handoff", "sid", s.sid, "list", li, "from", failed.url, "to", next.url)
-		return next
+		s.t.log.Info("session handoff", "sid", s.sid, "list", li, "from", from.url, "to", r.url)
 	}
+	return nil
 }
 
 // acknowledge merges the receipt of an exchange replica ri acknowledged
-// into the session's per-list accounting and, for a list with a sibling
-// replica, its copy of the session state (see sessionListState).
-func (s *httpSession) acknowledge(li, ri int, rc Receipt) {
+// into the session's per-list accounting and, for a sessionful
+// exchange, its copy of the session state (see sessionListState).
+func (s *httpSession) acknowledge(li, ri int, rc Receipt, sessionful bool) {
 	ls := &s.state[li]
 	ls.mu.Lock()
 	ls.held[ri] = true
 	ls.charged = ls.charged.Add(rc.Accesses)
-	ls.depth = max(ls.depth, rc.Depth)
-	ls.best = max(ls.best, rc.Best)
-	if len(rc.Seen) > 0 && len(s.t.lists[li]) > 1 {
-		if ls.seen == nil {
+	if sessionful {
+		ls.acked++
+		ls.depth, ls.best = rc.Depth, rc.Best
+		if len(rc.Seen) > 0 && ls.seen == nil {
 			ls.seen = make([]uint64, s.t.n/64+1)
 		}
 		for _, p := range rc.Seen {
@@ -1403,15 +1399,16 @@ func seenRanges(seen []uint64, n int) [][2]int {
 // attemptRPC performs one data-plane round-trip with one replica,
 // reporting the decoded response and receipt alongside the encoded
 // body size (tracing and the wire-bytes metrics want the on-the-wire
-// count, which only this frame sees). Both bodies pass through pooled
-// buffers; decoded messages own their memory, so nothing aliases a
-// pooled slice after return.
-func (s *httpSession) attemptRPC(ctx context.Context, li int, r *replica, kind Kind, body []byte) (Response, Receipt, int, int, error) {
+// count, which only this frame sees); seq numbers a sessionful
+// exchange (see rpcURL). Both bodies pass through pooled buffers;
+// decoded messages own their memory, so nothing aliases a pooled slice
+// after return.
+func (s *httpSession) attemptRPC(ctx context.Context, li int, r *replica, kind Kind, body []byte, seq uint64) (Response, Receipt, int, int, error) {
 	var out Response
 	var rc Receipt
 	respBytes := 0
-	path := s.rpcPath(kind, s.contact(li, r.index))
-	status, err := s.t.attempt(ctx, http.MethodPost, r.url+path, body, ContentTypeBinary, func(data []byte) error {
+	url := s.rpcURL(r, kind, s.contact(li, r.index), seq)
+	status, err := s.t.attempt(ctx, http.MethodPost, url, body, ContentTypeBinary, func(data []byte) error {
 		respBytes = len(data)
 		var derr error
 		if out, rc, derr = decodeBody(data); derr != nil {
@@ -1425,25 +1422,27 @@ func (s *httpSession) attemptRPC(ctx context.Context, li int, r *replica, kind K
 }
 
 // exchange performs one logical exchange with the owner of a list,
-// routing it to a replica and absorbing transient failures:
+// routing it to a replica and absorbing failures:
 //
-//   - stateless requests go to the policy's replica and FAIL OVER to a
-//     sibling on transient failure (a sibling that does not hold the
-//     session yet opens it from the marker, and a stateless request is
-//     by construction replayable);
-//   - sessionful requests go to the session's pinned replica; replayable
-//     ones (mark, topk) may be retried there, and every successful one's
-//     receipt lands in the session's copy of the list's state. A pin
-//     failure that persists — or any failure of a non-replayable
-//     probe/above — HANDS OFF: the copy is synced to a sibling, the
-//     session re-pins there and resumes, re-sending even the
-//     non-replayable request, which is safe because the copy excludes
-//     the failed exchange either way (the pin never applied it, or
-//     applied it but is dropped for good so its advanced cursor is never
-//     observed again). Only when no sibling accepts the copy (flat list,
-//     or every sibling gone) does the failure surface as
-//     OwnerFailedError.
+//   - a stateless request goes to the policy's replica and FAILS OVER
+//     to a sibling after a failure (a sibling that does not hold the
+//     session yet opens it from the marker);
+//   - a sessionful request goes to the session's pinned replica, and
+//     its receipt lands in the session's copy of the list's state. On a
+//     transient failure, a corrupt frame, a lost session (404) or a
+//     sequence refusal (409) the copy is RESTORED at the pin and the
+//     request re-sent; once the pin has spent its attempts, each
+//     routable sibling in policy order is restored and becomes the pin.
+//     A restore replaces the replica's state with the acknowledged one
+//     and the owner's sequence fence refuses every attempt but the next
+//     (Owner.exchange), so whatever a failed attempt applied is rolled
+//     back and no cursor advances twice. Only when no replica accepts
+//     the copy does the failure surface as OwnerFailedError.
 func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Response, err error) {
+	if s.closed.Load() {
+		// A restore would open the closed session again at a replica.
+		return nil, fmt.Errorf("transport: owner %d: %w %q: closed", li, ErrUnknownSession, s.sid)
+	}
 	kind := req.Kind()
 	enc := getBuf()
 	defer putBuf(enc)
@@ -1451,13 +1450,13 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 		return nil, fmt.Errorf("transport: owner %d: encode request: %w", li, err)
 	}
 
-	ls := &s.state[li]
 	sessionful := req.Sessionful()
 	var target *replica
+	var seq uint64 // 0 for a stateless exchange
 	if sessionful {
-		target = s.pinned(li)
+		target, seq = s.pinned(li)
 	} else {
-		target = s.t.route(li, ls.routable, nil)
+		target = s.t.route(li, nil)
 	}
 	if target == nil {
 		return nil, fmt.Errorf("transport: owner %d: no routable replica", li)
@@ -1490,40 +1489,43 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 		s.rec.Record(sp)
 	}()
 
-	// attemptsFor is the per-target attempt budget; a handoff re-arms it
-	// for the fresh pin (handoffs themselves are bounded by the replica
-	// set, not this budget — each one drops a replica for good).
-	attemptsFor := func() int {
-		attempts := 1
-		if req.Replayable() {
-			attempts += s.t.retries
-			if !sessionful && s.t.retries > 0 {
-				// Stateless traffic may fail over: every replica holding the
-				// session deserves one try before the exchange gives up, even
-				// when that exceeds the flat same-replica retry budget.
-				open := 0
-				for _, ok := range ls.routable {
-					if ok {
-						open++
-					}
-				}
-				if open > attempts {
-					attempts = open
-				}
-			}
-		}
-		return attempts
+	// budget is the attempts a sessionful exchange may spend on each
+	// pin, or a stateless one across the list: every replica deserves a
+	// try before a stateless exchange gives up, even when that exceeds
+	// the same-replica retry budget.
+	reps := len(s.t.lists[li])
+	budget := 1 + s.t.retries
+	if !sessionful && s.t.retries > 0 {
+		budget = max(budget, reps)
 	}
-	attempts := attemptsFor()
 	var tried []bool
 	var lastErr error
-	waits := 0
-	for a := 0; a < attempts; a++ {
+	restore := false
+	waits, spent := 0, 0
+	for {
 		if err := ctx.Err(); err != nil {
 			if lastErr == nil {
 				lastErr = err
 			}
 			break
+		}
+		if spent == budget {
+			if !sessionful {
+				break
+			}
+			// The pin spent its attempts: restore the session at the
+			// routable siblings in policy order; the first that accepts
+			// becomes the pin.
+			next := s.t.route(li, tried)
+			for next != nil && ctx.Err() == nil && s.restore(ctx, li, next) != nil {
+				tried[next.index] = true
+				next = s.t.route(li, tried)
+			}
+			if next == nil || ctx.Err() != nil {
+				break
+			}
+			target, spent, restore = next, 0, false
+			failedOver, didHandoff = true, true
 		}
 		if attempted > 0 {
 			// Jittered exponential backoff before every re-attempt (and
@@ -1536,8 +1538,15 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 			}
 		}
 		attempted++
+		spent++
+		if restore {
+			if lastErr = s.restore(ctx, li, target); lastErr != nil {
+				continue
+			}
+			restore = false
+		}
 		start := time.Now()
-		resp, rc, rb, status, err := s.attemptRPC(ctx, li, target, kind, *enc)
+		resp, rc, rb, status, err := s.attemptRPC(ctx, li, target, kind, *enc, seq)
 		if err == nil {
 			respBytes = rb
 			target.observe(time.Since(start))
@@ -1546,7 +1555,7 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 			if failedOver {
 				target.failovers.Add(1)
 			}
-			s.acknowledge(li, target.index, rc)
+			s.acknowledge(li, target.index, rc, sessionful)
 			return resp, nil
 		}
 		lastErr = err
@@ -1554,71 +1563,49 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 		// backpressure, not failure. Wait out the owner's retry-after
 		// hint (plus jitter) and re-send without burning the attempt
 		// budget or the replica's health/breaker standing — a shed
-		// exchange is safe to re-send whatever its kind, because the
-		// owner is contractually bound to have run none of it.
+		// exchange is safe to re-send as it is, because the owner is
+		// contractually bound to have run none of it.
 		if pause, shed := shedPause(err, s.t.bk, waits+1); shed && waits < maxBackpressureWaits {
 			waits++
 			attempted--
+			spent--
 			mClientBackpressure.Inc()
 			s.backpressure.Add(1)
 			if sleepCtx(ctx, pause) != nil {
 				break
 			}
-			a--
 			continue
 		}
 		// A 404 is the owner's ErrUnknownSession on an unmarked exchange:
-		// the replica is alive but no longer holds the session it
-		// acknowledged — it restarted (or evicted it). Its copy of the
-		// session state is gone, not the session: the session's own copy
-		// and its siblings still carry it.
+		// the replica is alive but no longer holds the session — it
+		// restarted (or evicted it). A 409 is its sequence fence: its
+		// copy of the session is out of step with the session's own.
 		var re *RemoteError
-		sessionLost := errors.As(err, &re) && re.Status == http.StatusNotFound
+		lost := errors.As(err, &re) && (re.Status == http.StatusNotFound || re.Status == http.StatusConflict)
 		transient := transientStatus(status) || (status == 0 && transientErr(ctx, err)) ||
 			errors.Is(err, errCorruptFrame)
-		if !sessionLost && !transient {
+		if !lost && !transient {
 			// The owner rejected the request (or the caller canceled):
 			// no replica will answer differently.
 			return nil, fmt.Errorf("transport: owner %d (%s): %w", li, target.url, err)
 		}
-		if !sessionLost {
+		if !lost {
 			target.noteFailure()
 			s.t.noteHealth(target, false)
 			s.t.tripFailure(target)
 		}
-		s.noteFailed(li, target.index)
-		if sessionful {
-			if !sessionLost && a+1 < attempts {
-				continue // replayable: retry the pinned replica itself
-			}
-			// The pinned replica failed for good — or restarted and lost
-			// the cursors. Hand the session off to a sibling and resume
-			// there; without one, the failure poisons the session for
-			// this list.
-			if next := s.handoff(ctx, li, target); next != nil {
-				target = next
-				failedOver = true
-				didHandoff = true
-				attempts = attemptsFor()
-				a = -1 // fresh attempt budget on the new pin
-				continue
-			}
-			break
-		}
-		// Stateless: fail over to a sibling replica that holds the
-		// session; with none left, re-attempt the same replica. A
-		// restarted replica is dropped from this session's routing for
-		// good — it would keep answering 404.
-		if sessionLost {
-			ls.mu.Lock()
-			ls.routable[target.index] = false
-			ls.mu.Unlock()
-		}
+		s.noteFailed(li, target.index, lost)
 		if tried == nil {
-			tried = make([]bool, len(s.t.lists[li]))
+			tried = make([]bool, reps)
 		}
 		tried[target.index] = true
-		if next := s.t.route(li, ls.routable, tried); next != nil {
+		if sessionful {
+			restore = true
+			continue
+		}
+		// Stateless: fail over to a sibling; with none left, re-attempt
+		// the same replica.
+		if next := s.t.route(li, tried); next != nil {
 			failedOver = failedOver || next != target
 			target = next
 		}

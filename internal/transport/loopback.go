@@ -103,7 +103,7 @@ func (t *Loopback) Open(ctx context.Context, tracker bestpos.Kind) (Session, err
 			return nil, err
 		}
 	}
-	return &loopbackSession{t: t, sid: sid}, nil
+	return &loopbackSession{t: t, sid: sid, seq: make([]uint64, len(t.owners))}, nil
 }
 
 // closeSession releases a session at every owner (idempotent per owner).
@@ -123,6 +123,10 @@ type loopbackSession struct {
 
 	// elapsed is the virtual clock in nanoseconds (latency model only).
 	elapsed atomic.Int64
+
+	// seq[i] counts the sessionful exchanges owner i applied; the next
+	// passes the owner's sequence fence as seq[i]+1, as over HTTP.
+	seq []uint64
 
 	// rec collects per-exchange trace spans when armed (SpanRecording).
 	rec *SpanRecorder
@@ -145,12 +149,18 @@ func (s *loopbackSession) serve(ctx context.Context, owner int, req Request) (Re
 	if err := s.t.checkOwner(owner); err != nil {
 		return nil, 0, err
 	}
-	if s.rec == nil && s.t.lat == nil {
-		resp, err := s.t.owners[owner].HandleContext(ctx, s.sid, req)
-		return resp, 0, err
+	var seq uint64
+	if req.Sessionful() {
+		seq = s.seq[owner] + 1
 	}
-	start := time.Now()
-	resp, err := s.t.owners[owner].HandleContext(ctx, s.sid, req)
+	var start time.Time
+	if s.rec != nil {
+		start = time.Now()
+	}
+	resp, _, err := s.t.owners[owner].exchange(ctx, s.sid, seq, req)
+	if err == nil && seq != 0 {
+		s.seq[owner] = seq
+	}
 	var cost time.Duration
 	if err == nil && s.t.lat != nil {
 		cost = s.t.lat(owner, req, resp)

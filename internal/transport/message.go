@@ -27,31 +27,24 @@ const (
 // fixed-size header fields — only batched requests (fetch item lists)
 // carry any; single positions, item IDs and thresholds are header-sized.
 //
-// Replayable reports whether re-sending the request after a lost
-// response returns the same answer. A replay may re-perform the
-// owner-side access, but it must not change what any future exchange
-// of the session observes. Accounting is unaffected either way: every
-// topology reports each acknowledged exchange once, from the receipt
-// its owner returned (see Receipt), never the attempt whose response
-// was lost. Probe and above are NOT replayable:
-// each execution advances an owner-side cursor (the seen-position
-// tracker, the scan depth), so replaying one would silently skip list
-// entries and corrupt the answer. The HTTP client's transient-failure
-// retry is gated on this.
-//
 // Sessionful reports whether serving the request reads or writes
 // per-session owner-side protocol state beyond the access tally: the
 // seen-position tracker (probe, mark) or the scan-depth cursor (topk,
 // above). Replicas of a list serve the same data but do NOT share
-// session state, so sessionful traffic must stick to one replica per
-// list — the replica-aware HTTP client pins it, and only stateless
-// requests (sorted, lookup, fetch) may fail over between replicas
-// mid-query. Note the two axes differ: mark and topk are replayable yet
-// sessionful — safe to retry against the SAME replica, not safe to move.
+// session state, so sessionful traffic sticks to one replica per list —
+// the replica-aware HTTP client pins it, and only stateless requests
+// (sorted, lookup, fetch) fail over between replicas mid-query.
+//
+// Every request may be re-sent after a failure under one rule: a
+// stateless one as it is, a sessionful one after the session's state
+// is restored at the replica (see Owner.SyncSession), which rolls back
+// whatever the failed attempt applied. Accounting is unaffected either
+// way: every topology reports each acknowledged exchange once, from the
+// receipt its owner returned (see Receipt), never the attempt whose
+// response was lost.
 type Request interface {
 	Kind() Kind
 	RequestScalars() int
-	Replayable() bool
 	Sessionful() bool
 }
 
@@ -70,9 +63,6 @@ type SortedReq struct {
 
 func (SortedReq) Kind() Kind          { return KindSorted }
 func (SortedReq) RequestScalars() int { return 0 }
-
-// Replayable: reading a fixed position twice returns the same entry.
-func (SortedReq) Replayable() bool { return true }
 
 // Sessionful: NO — a positional read touches no session cursor.
 func (SortedReq) Sessionful() bool { return false }
@@ -94,9 +84,6 @@ type LookupReq struct {
 
 func (LookupReq) Kind() Kind          { return KindLookup }
 func (LookupReq) RequestScalars() int { return 0 }
-
-// Replayable: a lookup mutates nothing.
-func (LookupReq) Replayable() bool { return true }
 
 // Sessionful: NO — a lookup touches no session cursor.
 func (LookupReq) Sessionful() bool { return false }
@@ -123,10 +110,6 @@ type ProbeReq struct{}
 
 func (ProbeReq) Kind() Kind          { return KindProbe }
 func (ProbeReq) RequestScalars() int { return 0 }
-
-// Replayable: NO — every probe advances the owner's seen-position
-// cursor, so a replay would skip the entry the lost response carried.
-func (ProbeReq) Replayable() bool { return false }
 
 // Sessionful: YES — the probe cursor lives on one replica.
 func (ProbeReq) Sessionful() bool { return true }
@@ -165,10 +148,6 @@ type MarkReq struct {
 func (MarkReq) Kind() Kind          { return KindMark }
 func (MarkReq) RequestScalars() int { return 0 }
 
-// Replayable: marking the same position twice is a tracker no-op and
-// the score/piggyback answer is unchanged.
-func (MarkReq) Replayable() bool { return true }
-
 // Sessionful: YES — the mark lands in one replica's tracker, which the
 // session's future probes depend on.
 func (MarkReq) Sessionful() bool { return true }
@@ -192,10 +171,6 @@ type TopKReq struct {
 func (TopKReq) Kind() Kind          { return KindTopK }
 func (TopKReq) RequestScalars() int { return 0 }
 
-// Replayable: the prefix read is position-fixed and the scan depth is
-// set, not advanced (depth = K both times).
-func (TopKReq) Replayable() bool { return true }
-
 // Sessionful: YES — it sets the scan depth the session's above-scan
 // continues from, on one replica.
 func (TopKReq) Sessionful() bool { return true }
@@ -217,10 +192,6 @@ type AboveReq struct {
 func (AboveReq) Kind() Kind          { return KindAbove }
 func (AboveReq) RequestScalars() int { return 0 }
 
-// Replayable: NO — the scan continues from the depth cursor the first
-// execution advanced, so a replay would return a truncated tail.
-func (AboveReq) Replayable() bool { return false }
-
 // Sessionful: YES — the depth cursor lives on one replica.
 func (AboveReq) Sessionful() bool { return true }
 
@@ -241,9 +212,6 @@ type FetchReq struct {
 
 func (FetchReq) Kind() Kind            { return KindFetch }
 func (r FetchReq) RequestScalars() int { return len(r.Items) }
-
-// Replayable: a batch of lookups mutates nothing.
-func (FetchReq) Replayable() bool { return true }
 
 // Sessionful: NO — exact-score lookups touch no session cursor.
 func (FetchReq) Sessionful() bool { return false }
@@ -280,10 +248,6 @@ func (UpdateReq) Kind() Kind { return KindUpdate }
 
 // RequestScalars: item and delta per update.
 func (r UpdateReq) RequestScalars() int { return 2 * len(r.Updates) }
-
-// Replayable: the per-feed sequence number makes a re-send a no-op ack,
-// never a double application.
-func (UpdateReq) Replayable() bool { return true }
 
 // Sessionful: NO — updates target the owner's list (feed-plane state
 // shared by every query), not any query session's cursor. They fan out
@@ -335,18 +299,6 @@ func (b BatchReq) RequestScalars() int {
 		n += r.RequestScalars()
 	}
 	return n
-}
-
-// Replayable: only when every inner request is — one cursor-advancing
-// member poisons the whole exchange, because a lost response leaves the
-// originator unable to tell how far the owner got.
-func (b BatchReq) Replayable() bool {
-	for _, r := range b.Reqs {
-		if !r.Replayable() {
-			return false
-		}
-	}
-	return true
 }
 
 // Sessionful: when any inner request is — a batch carrying one

@@ -63,6 +63,13 @@ type OwnerStats struct {
 // request (which is never worth a retry either).
 var ErrUnknownSession = errors.New("unknown session")
 
+// ErrOutOfSequence reports a sessionful exchange whose sequence number
+// is not the one after the last the session applied at this owner: a
+// duplicate of an exchange already applied, or one sent past a gap.
+// Nothing runs. The HTTP server maps it to 409; the client restores the
+// session's state at the replica and re-sends.
+var ErrOutOfSequence = errors.New("exchange out of sequence")
+
 // MaxSessions is the default bound on concurrently open sessions per
 // owner (see SetMaxSessions), so originators that crash without
 // closing their sessions degrade into a clear error instead of
@@ -121,6 +128,9 @@ type ownerSession struct {
 	tr       bestpos.Tracker
 	depth    int
 	lastUsed time.Time
+	// applied is the sequence number of the last sessionful exchange
+	// the session applied here (see Owner.exchange).
+	applied uint64
 	// seen collects the positions the exchange being served marks seen,
 	// for its receipt.
 	seen []int
@@ -607,16 +617,20 @@ func (o *Owner) SessionStats(sid string) (OwnerStats, error) {
 	return st, nil
 }
 
-// SyncSession brings this replica's copy of a session up to the state
-// the originator holds for it — the handoff transfer: it opens the
-// session with a tracker of the given kind if the replica holds none,
-// marks the positions of the inclusive [lo,hi] ranges seen in the
-// session's tracker and raises the scan depth. Marking is idempotent and
-// the depth merge is monotonic, so replaying a sync converges instead of
-// corrupting state. Control-plane: nothing here touches the access
-// probe, so transferred state never perturbs the accounting the
-// originator sums from exchange receipts.
-func (o *Owner) SyncSession(sid string, kind bestpos.Kind, ranges [][2]int, depth int) error {
+// SyncSession restores this replica's copy of a session to the state
+// the originator holds for it: it opens the session with a tracker of
+// the given kind if the replica holds none, then replaces the tracker
+// with one that has seen exactly the positions of the inclusive [lo,hi]
+// ranges, the scan depth with depth, and the last applied sequence
+// number with seq. Whatever the replica applied beyond that state — an
+// exchange whose response never reached the originator — is rolled
+// back, so the next exchange runs as if it never had. Control-plane:
+// the access probe is untouched, so a restore never perturbs the
+// accounting the originator sums from exchange receipts.
+func (o *Owner) SyncSession(sid string, kind bestpos.Kind, ranges [][2]int, depth int, seq uint64) error {
+	if depth < 0 || depth > o.n {
+		return fmt.Errorf("transport: owner %d: sync depth %d out of range [0,%d]", o.index, depth, o.n)
+	}
 	if err := o.install(sid, kind, false); err != nil {
 		return err
 	}
@@ -624,16 +638,15 @@ func (o *Owner) SyncSession(sid string, kind bestpos.Kind, ranges [][2]int, dept
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	tr := bestpos.New(kind, o.n)
 	for _, rg := range ranges {
 		for p := max(rg[0], 1); p <= min(rg[1], o.n); p++ {
-			s.tr.MarkSeen(p)
+			tr.MarkSeen(p)
 		}
 	}
-	if depth > s.depth {
-		s.depth = depth
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tr, s.depth, s.applied = tr, depth, seq
 	mOwnerSessionSyncs.Inc()
 	return nil
 }
@@ -656,14 +669,22 @@ func (o *Owner) Handle(sid string, req Request) (Response, error) {
 // burns a scan on a query nobody is waiting for. Work already done
 // stays done and stays charged, like a batch aborting midway.
 func (o *Owner) HandleContext(ctx context.Context, sid string, req Request) (Response, error) {
-	resp, _, err := o.exchange(ctx, sid, req)
+	resp, _, err := o.exchange(ctx, sid, 0, req)
 	return resp, err
 }
 
 // exchange is HandleContext plus the exchange's Receipt: the probe's
 // tally diffed around dispatch, the positions handlers marked seen, and
 // the session's depth and best position afterwards.
-func (o *Owner) exchange(ctx context.Context, sid string, req Request) (Response, Receipt, error) {
+//
+// A non-zero seq fences the exchange: it runs only when seq is one past
+// the session's last applied sequence number, which it becomes when the
+// exchange succeeds; any other value is refused with ErrOutOfSequence
+// before anything runs. The originator numbers its sessionful exchanges
+// per list, so an attempt still in flight when the session was restored
+// (SyncSession) and the exchange re-sent can never advance the restored
+// state. seq 0 is unfenced.
+func (o *Owner) exchange(ctx context.Context, sid string, seq uint64, req Request) (Response, Receipt, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Receipt{}, err
 	}
@@ -680,11 +701,17 @@ func (o *Owner) exchange(ctx context.Context, sid string, req Request) (Response
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if seq != 0 && seq != s.applied+1 {
+		return nil, Receipt{}, fmt.Errorf("transport: owner %d: %w: seq %d after %d", o.index, ErrOutOfSequence, seq, s.applied)
+	}
 	before := s.pr.Counts()
 	s.seen = s.seen[:0]
 	resp, err := o.dispatch(ctx, s, req)
 	if err != nil {
 		return nil, Receipt{}, err
+	}
+	if seq != 0 {
+		s.applied = seq
 	}
 	after := s.pr.Counts()
 	rc := Receipt{

@@ -21,15 +21,16 @@ import (
 // share per-session protocol state, which is what splits the traffic in
 // two:
 //
-//   - stateless exchanges (sorted, lookup, fetch — all replayable) may
-//     be served by any replica (one that does not hold the session yet
-//     opens it) and fail over to a sibling when their replica dies
-//     mid-query;
+//   - stateless exchanges (sorted, lookup, fetch) may be served by any
+//     replica (one that does not hold the session yet opens it) and
+//     fail over to a sibling when their replica dies mid-query;
 //   - sessionful exchanges (probe, mark, topk, above — anything that
 //     reads or advances a per-session cursor or tracker) pin the session
-//     to one replica per list; if that replica dies, the query fails
-//     fast with a typed OwnerFailedError instead of silently resuming on
-//     a replica whose cursors never advanced.
+//     to one replica per list. When one fails, the session's copy of
+//     the list's state is restored at a replica — the pin, then its
+//     siblings — and the exchange is re-sent there; if no replica
+//     accepts the copy, the query fails with a typed OwnerFailedError
+//     instead of resuming on a replica whose cursors are out of step.
 
 // Topology maps every list to its replica set: Topology[i] holds the
 // base URLs of the owner processes serving list i. Every replica of a
@@ -126,15 +127,14 @@ func ParseRoutingPolicy(name string) (RoutingPolicy, error) {
 }
 
 // OwnerFailedError reports a replica failing mid-query on traffic the
-// session could not move: sessionful exchanges (probe, above, mark,
+// session could not recover: sessionful exchanges (probe, above, mark,
 // topk, or a batch carrying one) live on the cursors and trackers of
-// the pinned replica, and when it dies the session hands off to a
-// sibling brought up to its state. This error surfaces only when no
-// sibling takes it — a flat single-replica list, or every sibling
-// already failed or refused the handoff. It names the list and the replica so an
-// operator knows which process to look at; callers should rerun the
-// query (or let the dist restart driver do it) — a fresh session pins
-// to a live replica.
+// the pinned replica, and when one fails the session restores its state
+// at the pin, then at a sibling, and re-sends. This error surfaces only
+// when no replica accepts the restore within the retry budget. It names
+// the pinned list and replica so an operator knows which process to
+// look at; callers should rerun the query (or let the dist restart
+// driver do it) — a fresh session pins to a live replica.
 type OwnerFailedError struct {
 	// List is the list index whose pinned replica failed.
 	List int
@@ -500,24 +500,20 @@ func (t *HTTPClient) validateReplica(ctx context.Context, r *replica) {
 }
 
 // route picks the replica of list to address next under the client's
-// policy. allowed filters to the replicas this session may use (those
-// that hold its state), tried excludes replicas that already failed the
-// exchange being routed. Healthy candidates with a closed (or
+// policy. tried excludes replicas that already failed the exchange
+// being routed. Healthy candidates with a closed (or
 // half-open) breaker are preferred; when none exist the policy runs
 // over the unhealthy remainder — a verdict can be stale, and attempting
 // a "dead" replica is how a single-replica list keeps working at all —
 // and only when even those are gone over the breaker-blocked ones, so
 // an open breaker diverts traffic rather than failing a list that has
-// no alternative. Returns nil only when allowed+tried leave nothing.
-func (t *HTTPClient) route(list int, allowed []bool, tried []bool) *replica {
+// no alternative. Returns nil only when tried leaves nothing.
+func (t *HTTPClient) route(list int, tried []bool) *replica {
 	var healthy, rest, fenced []*replica
 	now := time.Now()
 	for _, r := range t.lists[list] {
 		if !r.validated.Load() {
 			continue // never handshake-validated: shape unknown
-		}
-		if allowed != nil && !allowed[r.index] {
-			continue
 		}
 		if tried != nil && tried[r.index] {
 			continue

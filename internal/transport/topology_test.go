@@ -87,38 +87,38 @@ func routeClient(policy RoutingPolicy, healthy []bool, ewma []time.Duration) *HT
 func TestRoutePolicies(t *testing.T) {
 	// Primary skips unhealthy replica 0.
 	c := routeClient(RoutePrimary, []bool{false, true, true}, nil)
-	if r := c.route(0, nil, nil); r.index != 1 {
+	if r := c.route(0, nil); r.index != 1 {
 		t.Errorf("primary routed to %d, want 1", r.index)
 	}
 	// All unhealthy: the policy still picks someone (verdicts go stale).
 	c = routeClient(RoutePrimary, []bool{false, false}, nil)
-	if r := c.route(0, nil, nil); r == nil {
+	if r := c.route(0, nil); r == nil {
 		t.Error("all-unhealthy list routed to nobody")
 	}
 	// Round-robin rotates over the healthy subset.
 	c = routeClient(RouteRoundRobin, []bool{true, false, true}, nil)
 	seen := map[int]int{}
 	for i := 0; i < 4; i++ {
-		seen[c.route(0, nil, nil).index]++
+		seen[c.route(0, nil).index]++
 	}
 	if seen[0] != 2 || seen[2] != 2 || seen[1] != 0 {
 		t.Errorf("round-robin distribution %v, want 0 and 2 twice each", seen)
 	}
 	// Fastest picks the lowest EWMA; an unmeasured replica is explored.
 	c = routeClient(RouteFastest, []bool{true, true}, []time.Duration{5 * time.Millisecond, time.Millisecond})
-	if r := c.route(0, nil, nil); r.index != 1 {
+	if r := c.route(0, nil); r.index != 1 {
 		t.Errorf("fastest routed to %d, want 1", r.index)
 	}
 	c = routeClient(RouteFastest, []bool{true, true}, []time.Duration{5 * time.Millisecond, 0})
-	if r := c.route(0, nil, nil); r.index != 1 {
+	if r := c.route(0, nil); r.index != 1 {
 		t.Errorf("fastest did not explore the unmeasured replica (got %d)", r.index)
 	}
-	// tried excludes, allowed filters.
+	// tried excludes.
 	c = routeClient(RoutePrimary, []bool{true, true}, nil)
-	if r := c.route(0, nil, []bool{true, false}); r.index != 1 {
+	if r := c.route(0, []bool{true, false}); r.index != 1 {
 		t.Errorf("tried filter routed to %d, want 1", r.index)
 	}
-	if r := c.route(0, []bool{true, false}, []bool{true, false}); r != nil {
+	if r := c.route(0, []bool{true, true}); r != nil {
 		t.Errorf("exhausted filters routed to %d, want nobody", r.index)
 	}
 }
@@ -363,8 +363,8 @@ func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	if !strings.Contains(ofe.Error(), "owner 0") || !strings.Contains(ofe.Error(), "replica 0") {
 		t.Errorf("error text does not name list+replica: %s", ofe.Error())
 	}
-	// A replayable sessionful exchange dies on the pinned replica too —
-	// it must not carry the tracker to the sibling.
+	// A mark dies on the dead pin too: the restore at the dead sibling
+	// fails, so the session's tracker never reaches it.
 	_, err = s.Do(ctx, 0, MarkReq{Item: one.List(0).At(5).Item})
 	if !errors.As(err, &ofe) {
 		t.Fatalf("mark on dead pinned replica: %v, want *OwnerFailedError", err)
@@ -870,14 +870,17 @@ func (g *swapGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // answers "unknown session" (404) with a healthy /healthz — stateless
 // traffic must treat that as this-replica-lost-the-session and fail
 // over to the sibling that still holds it, not abort the query;
-// sessionful traffic on a restarted pinned replica fails typed.
+// sessionful traffic on a restarted pinned replica restores the session
+// there and resumes without a handoff.
 func TestRestartedReplicaFailsOver(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
+	var last *Server
 	mkHandler := func() http.Handler {
 		srv, err := NewServer(one, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		last = srv
 		return srv.Handler()
 	}
 	gateA := &swapGate{}
@@ -908,6 +911,7 @@ func TestRestartedReplicaFailsOver(t *testing.T) {
 	// Replica A "restarts": fresh owner, same address, the old session
 	// gone but every new request answered (healthy by every probe).
 	fresh := mkHandler()
+	restartedA := last
 	gateA.h.Store(&fresh)
 	resp, err := s.Do(ctx, 0, SortedReq{Pos: 2})
 	if err != nil {
@@ -916,8 +920,8 @@ func TestRestartedReplicaFailsOver(t *testing.T) {
 	if got := resp.(SortedResp).Entry; got != one.List(0).At(2) {
 		t.Errorf("failover answered %+v", got)
 	}
-	// The restarted replica is out of this session's routing for good:
-	// further reads keep working without touching it.
+	// Further reads keep working: the restarted replica opens the
+	// session again from the marker.
 	for p := 3; p <= 5; p++ {
 		if _, err := s.Do(ctx, 0, SortedReq{Pos: p}); err != nil {
 			t.Fatalf("read %d after restart: %v", p, err)
@@ -926,10 +930,13 @@ func TestRestartedReplicaFailsOver(t *testing.T) {
 	if st, err := s.Stats(ctx, 0); err != nil || st.Accesses.Sorted != 5 {
 		t.Errorf("accesses after restart failover: %+v, %v", st.Accesses, err)
 	}
+	if st, err := restartedA.Owner().SessionStats(s.ID()); err != nil || st.Accesses.Sorted != 3 {
+		t.Errorf("restarted replica after reads 3..5: %+v, %v; want the session reopened and 3 reads", st.Accesses, err)
+	}
 
 	// Sessionful traffic pinned to a replica that restarts (session
-	// gone, 404 on every exchange) hands off to the sibling and resumes
-	// exactly where the dead pin left it.
+	// gone, 404 on every exchange) restores the session at the restarted
+	// pin and resumes exactly where it left off.
 	s2, err := hc.Open(ctx, bestpos.BitArrayKind)
 	if err != nil {
 		t.Fatal(err)
@@ -939,17 +946,64 @@ func TestRestartedReplicaFailsOver(t *testing.T) {
 		t.Fatal(err) // pins to replica 0 (primary)
 	}
 	fresh2 := mkHandler()
+	restarted := last
 	gateA.h.Store(&fresh2)
 	resp, err = s2.Do(ctx, 0, ProbeReq{})
 	if err != nil {
-		t.Fatalf("probe on restarted pinned replica did not hand off: %v", err)
+		t.Fatalf("probe on restarted pinned replica was not absorbed: %v", err)
 	}
 	if got := resp.(ProbeResp).Entry; got != one.List(0).At(2) {
-		t.Errorf("handoff probe = %+v, want position 2", got)
+		t.Errorf("probe after the restore = %+v, want position 2", got)
+	}
+	// The restarted pin holds the restored position 1 and its own probe
+	// of position 2, and is charged only for that probe.
+	st, err := restarted.Owner().SessionStats(s2.ID())
+	if err != nil {
+		t.Fatalf("restarted pin does not hold the restored session: %v", err)
+	}
+	if st.Best != 2 || st.Accesses.Direct != 1 {
+		t.Errorf("restarted pin best %d, direct %d; want 2 and 1", st.Best, st.Accesses.Direct)
+	}
+	if pin := s2.(*httpSession).state[0].pin; pin.index != 0 {
+		t.Errorf("session pinned to replica %d after the restore, want 0", pin.index)
 	}
 	rec := s2.(*httpSession).Recovery()
-	if rec.Handoffs != 1 {
-		t.Errorf("handoffs = %d, want 1", rec.Handoffs)
+	if rec.Handoffs != 0 {
+		t.Errorf("handoffs = %d, want 0", rec.Handoffs)
+	}
+}
+
+// TestClosedSessionStaysClosed: an exchange after Close fails with
+// ErrUnknownSession and opens the session at no replica — a restore
+// must not bring a closed session back.
+func TestClosedSessionStaysClosed(t *testing.T) {
+	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
+	topo, servers := startReplicas(t, one, 2)
+	hc, err := Dial(context.Background(), DialConfig{Topology: topo, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hc.Close()
+	ctx := context.Background()
+	s, err := hc.Open(ctx, bestpos.BitArrayKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Do(ctx, 0, ProbeReq{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []Request{ProbeReq{}, SortedReq{Pos: 1}} {
+		if _, err := s.Do(ctx, 0, req); !errors.Is(err, ErrUnknownSession) {
+			t.Errorf("%s after Close: %v, want ErrUnknownSession", req.Kind(), err)
+		}
+	}
+	for ri, srv := range servers[0] {
+		if n := srv.Owner().Sessions(); n != 0 {
+			t.Errorf("replica %d holds %d sessions after Close", ri, n)
+		}
 	}
 }
 
@@ -1014,7 +1068,7 @@ func TestSessionfulHandoff(t *testing.T) {
 			t.Errorf("probe %d after handoff = %+v", i, got)
 		}
 	}
-	// A replayable sessionful exchange works on the new pin too.
+	// A mark works on the new pin too.
 	if _, err := s.Do(ctx, 0, MarkReq{Item: one.List(0).At(9).Item}); err != nil {
 		t.Fatalf("mark after handoff: %v", err)
 	}

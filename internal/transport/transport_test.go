@@ -706,8 +706,8 @@ func TestHTTPConcurrentSessions(t *testing.T) {
 }
 
 // TestHTTPRetryTransient: a single 500 from an owner must be absorbed by
-// the client's one retry; a persistent failure must surface the owner
-// index.
+// the client's one retry, a probe's included; a persistent failure must
+// surface the owner index.
 func TestHTTPRetryTransient(t *testing.T) {
 	// A one-list cluster needs a one-list database to agree on M.
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 60, M: 1, Seed: 5})
@@ -750,40 +750,112 @@ func TestHTTPRetryTransient(t *testing.T) {
 		t.Error("bad position accepted")
 	}
 
-	// Cursor-advancing exchanges must NOT be retried: the client cannot
-	// know whether the owner executed the lost request, and a replayed
-	// probe would silently skip a list entry. One transient failure on a
-	// probe therefore surfaces instead of being absorbed.
-	fail.Store(1)
-	if _, err := s.Do(ctx, 0, ProbeReq{}); err == nil || !strings.Contains(err.Error(), "owner 0") {
-		t.Errorf("probe after transient failure: %v (must fail, not retry)", err)
-	}
-	fail.Store(0)
-	// The failed attempt never reached the owner, so the session's
-	// cursor is intact: the next probe reads position 1.
-	resp, err := s.Do(ctx, 0, ProbeReq{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resp.(ProbeResp).Entry; got != one.List(0).At(1) {
-		t.Errorf("probe after failed probe = %+v, want position 1", got)
+	// A cursor-advancing exchange is absorbed too: the client restores
+	// the session's acknowledged state at the owner before re-sending,
+	// so the probe reads position 1 once and the next one position 2.
+	for want := 1; want <= 2; want++ {
+		fail.Store(1)
+		resp, err := s.Do(ctx, 0, ProbeReq{})
+		if err != nil {
+			t.Fatalf("probe after transient failure: %v", err)
+		}
+		if got := resp.(ProbeResp).Entry; got != one.List(0).At(want) {
+			t.Errorf("probe after failure = %+v, want position %d", got, want)
+		}
 	}
 }
 
-// TestRequestReplayability pins which message kinds the HTTP client may
-// retry: everything except the cursor-advancing probe and above.
-func TestRequestReplayability(t *testing.T) {
-	replayable := map[Kind]bool{
-		KindSorted: true, KindLookup: true, KindMark: true,
-		KindTopK: true, KindFetch: true,
-		KindProbe: false, KindAbove: false,
+// TestOwnerSequenceFence: a numbered exchange runs only as the next of
+// its session's sequence. A duplicate and a gap are each refused with
+// ErrOutOfSequence (409 over HTTP), and neither moves the tracker, the
+// scan depth or the probe's tallies; the next number then runs.
+func TestOwnerSequenceFence(t *testing.T) {
+	db := testDB(t)
+	l := db.List(0)
+	o, err := NewOwner(db, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, req := range []Request{
-		SortedReq{}, LookupReq{}, ProbeReq{}, MarkReq{}, TopKReq{}, AboveReq{}, FetchReq{},
-	} {
-		if got := req.Replayable(); got != replayable[req.Kind()] {
-			t.Errorf("%s replayable = %v, want %v", req.Kind(), got, replayable[req.Kind()])
+	if err := o.Open("s", bestpos.BitArrayKind); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for seq, req := range []Request{TopKReq{K: 3}, ProbeReq{}, ProbeReq{}} {
+		if _, _, err := o.exchange(ctx, "s", uint64(seq+1), req); err != nil {
+			t.Fatalf("seq %d: %v", seq+1, err)
 		}
+	}
+	before, err := o.SessionStats("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []uint64{3, 5} { // a duplicate, a gap
+		for _, req := range []Request{ProbeReq{}, MarkReq{Item: l.At(9).Item}, AboveReq{T: l.At(8).Score},
+			BatchReq{Reqs: []Request{MarkReq{Item: l.At(7).Item}, ProbeReq{}}}} {
+			_, _, err := o.exchange(ctx, "s", seq, req)
+			if !errors.Is(err, ErrOutOfSequence) || statusFor(err) != http.StatusConflict {
+				t.Errorf("seq %d %s: %v, want ErrOutOfSequence as 409", seq, req.Kind(), err)
+			}
+		}
+	}
+	after, err := o.SessionStats("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Accesses != before.Accesses || after.Best != before.Best || after.Depth != before.Depth {
+		t.Errorf("refused exchanges moved the session: %+v best %d depth %d, was %+v best %d depth %d",
+			after.Accesses, after.Best, after.Depth, before.Accesses, before.Best, before.Depth)
+	}
+	resp, _, err := o.exchange(ctx, "s", 4, ProbeReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.(ProbeResp).Entry; got != l.At(3) {
+		t.Errorf("next probe = %+v, want position 3", got)
+	}
+}
+
+// TestRestoreRollsBackUnacknowledged: the owner applies a probe whose
+// response never reaches the originator. Restoring the state the
+// originator acknowledged rolls the probe back, and the re-sent probe
+// returns the same position and is charged as the only one.
+func TestRestoreRollsBackUnacknowledged(t *testing.T) {
+	db := testDB(t)
+	l := db.List(0)
+	o, err := NewOwner(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Open("s", bestpos.BitArrayKind); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for seq := uint64(1); seq <= 2; seq++ {
+		resp, _, err := o.exchange(ctx, "s", seq, ProbeReq{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.(ProbeResp).Entry; got != l.At(int(seq)) {
+			t.Fatalf("probe %d = %+v", seq, got)
+		}
+	}
+	// Probe 2's response is lost: the originator acknowledged one
+	// exchange, which saw position 1.
+	if err := o.SyncSession("s", bestpos.BitArrayKind, [][2]int{{1, 1}}, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := o.SessionStats("s"); st.Best != 1 {
+		t.Errorf("best after the restore = %d, want 1", st.Best)
+	}
+	resp, rc, err := o.exchange(ctx, "s", 2, ProbeReq{})
+	if err != nil {
+		t.Fatalf("re-sent probe: %v", err)
+	}
+	if got := resp.(ProbeResp).Entry; got != l.At(2) {
+		t.Errorf("re-sent probe = %+v, want position 2", got)
+	}
+	if rc.Accesses.Direct != 1 || !reflect.DeepEqual(rc.Seen, []int{2}) || rc.Best != 2 {
+		t.Errorf("re-sent probe receipt = %+v, want one direct access seeing position 2", rc)
 	}
 }
 
@@ -1052,10 +1124,11 @@ func TestHTTPStatsExposesEvictions(t *testing.T) {
 	}
 }
 
-// TestBatchWithProbeNotRetried: a batch containing a cursor-advancing
-// request must not be replayed after a transient failure — same contract
-// as the bare message.
-func TestBatchWithProbeNotRetried(t *testing.T) {
+// TestBatchWithProbeRestored: a batch carrying a cursor-advancing
+// request is absorbed after a transient failure like a bare probe — the
+// session's state is restored at the owner and the batch re-sent — and
+// the probe it carried counts once.
+func TestBatchWithProbeRestored(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 60, M: 1, Seed: 5})
 	srvOne, err := NewServer(one, 0)
 	if err != nil {
@@ -1079,25 +1152,30 @@ func TestBatchWithProbeNotRetried(t *testing.T) {
 	s := open(t, hc)
 	ctx := context.Background()
 
-	// All-replayable batch: absorbed by the retry.
+	// Stateless batch: absorbed by the retry.
 	fail.Store(1)
 	if _, err := s.Do(ctx, 0, BatchReq{Reqs: []Request{SortedReq{Pos: 1}, SortedReq{Pos: 2}}}); err != nil {
-		t.Errorf("replayable batch not retried: %v", err)
+		t.Errorf("stateless batch not retried: %v", err)
 	}
-	// Batch with a probe: fails fast instead of replaying.
+	// Batch with a probe: absorbed by a restore and a re-send.
 	fail.Store(1)
-	if _, err := s.Do(ctx, 0, BatchReq{Reqs: []Request{SortedReq{Pos: 1}, ProbeReq{}}}); err == nil {
-		t.Error("probe-carrying batch was retried")
+	resp, err := s.Do(ctx, 0, BatchReq{Reqs: []Request{SortedReq{Pos: 1}, ProbeReq{}}})
+	if err != nil {
+		t.Fatalf("probe-carrying batch not absorbed: %v", err)
 	}
-	fail.Store(0)
-	// The failed attempt never reached the owner: the next probe still
-	// reads position 1.
-	resp, err := s.Do(ctx, 0, ProbeReq{})
+	if got := resp.(BatchResp).Resps[1].(ProbeResp).Entry; got != one.List(0).At(1) {
+		t.Errorf("probe in the re-sent batch = %+v, want position 1", got)
+	}
+	// The batch's probe counted once: the next probe reads position 2.
+	resp, err = s.Do(ctx, 0, ProbeReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.(ProbeResp).Entry; got != one.List(0).At(1) {
-		t.Errorf("probe after failed batch = %+v, want position 1", got)
+	if got := resp.(ProbeResp).Entry; got != one.List(0).At(2) {
+		t.Errorf("probe after the absorbed batch = %+v, want position 2", got)
+	}
+	if st, _ := s.Stats(ctx, 0); st.Accesses.Direct != 2 {
+		t.Errorf("direct accesses = %d, want 2", st.Accesses.Direct)
 	}
 }
 
