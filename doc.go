@@ -453,6 +453,9 @@
 // enters the cache once per stripe. Only a block the cache admitted is
 // hinted, and eviction and Close clear the hint, so the budget stays a
 // hard ceiling; a hinted read still counts as one cache hit per entry
+// read. A range read (TPUT's above-scan reads the entries above its
+// threshold that way) enters the cache once per stripe and copies the
+// covered entries out, and it too counts one hit or miss per entry
 // read. Score fences let a threshold seek touch one stripe instead of
 // scanning; none of this changes what an algorithm is charged, which is
 // how the parity suites can hold disk-backed runs bit-identical to RAM

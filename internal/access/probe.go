@@ -83,6 +83,43 @@ func (p *Probe) Sorted(i, pos int) list.Entry {
 	return e
 }
 
+// rangeReader is the optional bulk form of list.Reader.At: *list.List
+// copies a range out of its entries, and stripe-backed lists enter the
+// cache once per stripe instead of once per entry.
+type rangeReader interface {
+	AppendRange(dst []list.Entry, from, to int) []list.Entry
+}
+
+// SortedRange performs the sorted accesses to positions from..to
+// (inclusive, from <= to) of list i, appending the entries to dst in
+// position order. It charges to-from+1 sorted accesses and notes every
+// position for the audit and the trace, exactly as that many Sorted
+// calls would; the paper charges one sorted access per entry read,
+// whether or not the medium fetches them one at a time. Lists with
+// AppendRange serve the range in one call; any other list is read entry
+// by entry.
+func (p *Probe) SortedRange(i, from, to int, dst []list.Entry) []list.Entry {
+	if from > to {
+		panic(fmt.Sprintf("access: empty sorted range [%d,%d]", from, to))
+	}
+	p.counts.Sorted += int64(to - from + 1)
+	start := len(dst)
+	l := p.db.List(i)
+	if rr, ok := l.(rangeReader); ok {
+		dst = rr.AppendRange(dst, from, to)
+	} else {
+		for pos := from; pos <= to; pos++ {
+			dst = append(dst, l.At(pos))
+		}
+	}
+	if p.audit != nil || p.tracing {
+		for j, e := range dst[start:] {
+			p.note(SortedAccess, i, from+j, e.Item)
+		}
+	}
+	return dst
+}
+
 // Random performs a random access: it looks up item d in list i and
 // returns its local score and its 1-based position. TA uses only the
 // score; BPA also records the position (Section 4.1 step 1).

@@ -160,6 +160,17 @@ func (l *List) At(p int) Entry {
 	return l.entries[p-1]
 }
 
+// AppendRange appends the entries at 1-based positions from..to
+// (inclusive) to dst and returns the extended slice: the range form of
+// At, one copy out of the entries. It panics unless
+// 1 <= from <= to <= Len().
+func (l *List) AppendRange(dst []Entry, from, to int) []Entry {
+	if from < 1 || from > to || to > len(l.entries) {
+		panic(fmt.Sprintf("list: range [%d,%d] out of range [1,%d]", from, to, len(l.entries)))
+	}
+	return append(dst, l.entries[from-1:to]...)
+}
+
 // PositionOf returns the 1-based position of item d.
 func (l *List) PositionOf(d ItemID) int {
 	if d < 0 || int(d) >= len(l.pos) {

@@ -121,7 +121,7 @@ func (c *cache) get(k ckey, hint *atomic.Pointer[block], load func() (val any, s
 		e.setHint()
 		return e.val, nil
 	}
-	if size <= c.budget {
+	if c.admits(size) {
 		for c.resident+size > c.budget {
 			c.evictOldestLocked()
 		}
@@ -137,6 +137,12 @@ func (c *cache) get(k ckey, hint *atomic.Pointer[block], load func() (val any, s
 	}
 	return val, nil
 }
+
+// admits reports whether a block of the given accounted size is
+// admitted on a miss; a larger one is served uncached, so every read of
+// it is a miss. The budget is fixed at construction, so no lock is
+// needed.
+func (c *cache) admits(size int64) bool { return size <= c.budget }
 
 // setHint points the entry's list hint at it; cache lock held.
 func (e *centry) setHint() {
@@ -159,6 +165,14 @@ func (c *cache) addHits(n int64) {
 	c.hits += n
 	c.mu.Unlock()
 	mCacheHits.Add(n)
+}
+
+// addMisses counts n further reads of a block served uncached.
+func (c *cache) addMisses(n int64) {
+	c.mu.Lock()
+	c.misses += n
+	c.mu.Unlock()
+	mCacheMisses.Add(n)
 }
 
 // evictOldestLocked drops the least recently used block. Called with the

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"topk/internal/list"
@@ -277,32 +278,60 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// readBlock reads and CRC-checks one data block's payload (the bytes
-// before the trailing CRC).
-func (db *DB) readBlock(off int64, length int, what string) ([]byte, error) {
-	buf := make([]byte, length)
+// blockRef names one data block in error messages. It is formatted only
+// when an error is returned, so a load that succeeds builds no label.
+type blockRef struct {
+	list, idx int
+	page      bool // an id→position page; an entry stripe otherwise
+}
+
+func (r blockRef) String() string {
+	if r.page {
+		return fmt.Sprintf("list %d position page %d", r.list, r.idx)
+	}
+	return fmt.Sprintf("list %d stripe %d", r.list, r.idx)
+}
+
+// blockBufs recycles readBlock's raw buffers (*[]byte): a payload is
+// decoded into its own slice and then dropped, so the raw bytes need not
+// outlive the load.
+var blockBufs sync.Pool
+
+// readBlock reads and CRC-checks one data block into a pooled buffer. It
+// returns the payload (the bytes before the trailing CRC) and the buffer,
+// which the caller hands back to blockBufs once the payload is decoded.
+func (db *DB) readBlock(off int64, length int, what blockRef) ([]byte, *[]byte, error) {
+	bp, _ := blockBufs.Get().(*[]byte)
+	if bp == nil || cap(*bp) < length {
+		b := make([]byte, length)
+		bp = &b
+	}
+	buf := (*bp)[:length]
 	if _, err := db.r.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("stripe: read %s: %w", what, err)
+		blockBufs.Put(bp)
+		return nil, nil, fmt.Errorf("stripe: read %v: %w", what, err)
 	}
 	payload := buf[:length-4]
 	want := binary.LittleEndian.Uint32(buf[length-4:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("stripe: %s checksum mismatch: file %08x, computed %08x", what, want, got)
+		blockBufs.Put(bp)
+		return nil, nil, fmt.Errorf("stripe: %v checksum mismatch: file %08x, computed %08x", what, want, got)
 	}
-	return payload, nil
+	return payload, bp, nil
 }
 
 // loadEntryStripe reads, checks and decodes one entry stripe, without
 // touching the cache.
 func (db *DB) loadEntryStripe(li, si int) ([]list.Entry, error) {
 	st := db.ft.lists[li].stripes[si]
-	what := fmt.Sprintf("list %d stripe %d", li, si)
-	payload, err := db.readBlock(st.off, st.length, what)
+	what := blockRef{list: li, idx: si}
+	payload, bp, err := db.readBlock(st.off, st.length, what)
 	if err != nil {
 		return nil, err
 	}
+	defer blockBufs.Put(bp)
 	if got := int(binary.LittleEndian.Uint32(payload[:4])); got != st.count {
-		return nil, fmt.Errorf("stripe: %s holds %d entries, footer says %d", what, got, st.count)
+		return nil, fmt.Errorf("stripe: %v holds %d entries, footer says %d", what, got, st.count)
 	}
 	items := payload[4 : 4+4*st.count]
 	scores := payload[4+4*st.count:]
@@ -312,13 +341,13 @@ func (db *DB) loadEntryStripe(li, si int) ([]list.Entry, error) {
 		item := int32(binary.LittleEndian.Uint32(items[4*j:]))
 		sc := math.Float64frombits(binary.LittleEndian.Uint64(scores[8*j:]))
 		if item < 0 || int(item) >= db.ft.n {
-			return nil, fmt.Errorf("stripe: %s position %d: item %d out of range [0,%d)", what, st.firstPos+j, item, db.ft.n)
+			return nil, fmt.Errorf("stripe: %v position %d: item %d out of range [0,%d)", what, st.firstPos+j, item, db.ft.n)
 		}
 		if math.IsNaN(sc) {
-			return nil, fmt.Errorf("stripe: %s position %d: NaN score", what, st.firstPos+j)
+			return nil, fmt.Errorf("stripe: %v position %d: NaN score", what, st.firstPos+j)
 		}
 		if sc > prev {
-			return nil, fmt.Errorf("stripe: %s position %d: scores out of order (%v > %v)", what, st.firstPos+j, sc, prev)
+			return nil, fmt.Errorf("stripe: %v position %d: scores out of order (%v > %v)", what, st.firstPos+j, sc, prev)
 		}
 		prev = sc
 		out[j] = list.Entry{Item: list.ItemID(item), Score: sc}
@@ -326,7 +355,7 @@ func (db *DB) loadEntryStripe(li, si int) ([]list.Entry, error) {
 	// The fences are the index every fence-guided read trusts; a stripe
 	// that disagrees with its own footer record is corrupt.
 	if out[0].Score != st.maxScore || out[st.count-1].Score != st.minScore {
-		return nil, fmt.Errorf("stripe: %s scores [%v,%v] disagree with its fences [%v,%v]",
+		return nil, fmt.Errorf("stripe: %v scores [%v,%v] disagree with its fences [%v,%v]",
 			what, out[st.count-1].Score, out[0].Score, st.minScore, st.maxScore)
 	}
 	return out, nil
@@ -336,24 +365,28 @@ func (db *DB) loadEntryStripe(li, si int) ([]list.Entry, error) {
 // touching the cache.
 func (db *DB) loadPosPage(li, pi int) ([]int32, error) {
 	pg := db.ft.lists[li].pages[pi]
-	what := fmt.Sprintf("list %d position page %d", li, pi)
-	payload, err := db.readBlock(pg.off, pg.length, what)
+	what := blockRef{list: li, idx: pi, page: true}
+	payload, bp, err := db.readBlock(pg.off, pg.length, what)
 	if err != nil {
 		return nil, err
 	}
+	defer blockBufs.Put(bp)
 	if got := int(binary.LittleEndian.Uint32(payload[:4])); got != pg.count {
-		return nil, fmt.Errorf("stripe: %s holds %d items, footer says %d", what, got, pg.count)
+		return nil, fmt.Errorf("stripe: %v holds %d items, footer says %d", what, got, pg.count)
 	}
 	out := make([]int32, pg.count)
 	for j := range out {
 		p := int32(binary.LittleEndian.Uint32(payload[4+4*j:]))
 		if p < 1 || int(p) > db.ft.n {
-			return nil, fmt.Errorf("stripe: %s item %d: position %d out of range [1,%d]", what, pg.firstItem+j, p, db.ft.n)
+			return nil, fmt.Errorf("stripe: %v item %d: position %d out of range [1,%d]", what, pg.firstItem+j, p, db.ft.n)
 		}
 		out[j] = p
 	}
 	return out, nil
 }
+
+// entryBytes is the accounted cache size of one decoded entry.
+const entryBytes = 16
 
 // entryStripe returns one entry stripe of l through the cache, hinting
 // it to l when resident; it panics on IO errors or corruption (see the
@@ -362,7 +395,7 @@ func (db *DB) entryStripe(l *List, si int) *block {
 	v, err := db.cache.get(ckey{kind: kindEntries, list: int32(l.idx), idx: int32(si)}, &l.hint,
 		func() (any, int64, error) {
 			ents, err := db.loadEntryStripe(l.idx, si)
-			return &block{idx: si, ents: ents}, int64(len(ents)) * 16, err
+			return &block{idx: si, ents: ents}, entryBytes * int64(len(ents)), err
 		})
 	if err != nil {
 		panic(err)
@@ -435,7 +468,8 @@ func (db *DB) Verify() error {
 // resident; reads inside it skip the cache lock, map and LRU, so a scan
 // enters the cache once per stripe instead of once per entry. Only the
 // cache stores and clears it (see cache). hintHits counts the reads it
-// served since they were last folded into the cache's hit tally.
+// served, a range read's entries included, since they were last folded
+// into the cache's hit tally.
 type List struct {
 	db       *DB
 	idx      int
@@ -456,6 +490,36 @@ func (l *List) At(p int) list.Entry {
 	}
 	si := (p - 1) / l.db.ft.stripeCap
 	return l.stripe(si).ents[(p-1)-si*l.db.ft.stripeCap]
+}
+
+// AppendRange appends the entries at 1-based positions from..to
+// (inclusive) to dst and returns the extended slice, with the same
+// panics as At. It enters each stripe the range covers once — from the
+// hint or through the cache — and copies the covered entries out of it,
+// yet counts one cache hit or miss per entry, as an At loop would: the
+// rest of a resident stripe's entries are hint hits, and every entry of
+// a stripe served uncached (larger than the whole budget) is a miss,
+// though the stripe is loaded only once.
+func (l *List) AppendRange(dst []list.Entry, from, to int) []list.Entry {
+	n, sc := l.db.ft.n, l.db.ft.stripeCap
+	if from < 1 || from > to || to > n {
+		panic(fmt.Sprintf("stripe: range [%d,%d] out of range [1,%d]", from, to, n))
+	}
+	for from <= to {
+		si := (from - 1) / sc
+		lo, hi := from-1-si*sc, min(to-si*sc, sc)
+		b := l.stripe(si)
+		dst = append(dst, b.ents[lo:hi]...)
+		if rest := int64(hi - lo - 1); rest > 0 {
+			if l.db.cache.admits(entryBytes * int64(len(b.ents))) {
+				l.hintHits.Add(rest)
+			} else {
+				l.db.cache.addMisses(rest)
+			}
+		}
+		from += hi - lo
+	}
+	return dst
 }
 
 // stripe returns entry stripe si: from the hint when it covers si (a

@@ -66,6 +66,13 @@
 // read, so Hits is exact when read. LRU recency is set when a read
 // enters a stripe, not by every read inside it.
 //
+// AppendRange reads a run of positions in bulk: it enters the cache once
+// per stripe the range covers and copies the covered entries out, yet
+// still counts one hit or miss per entry, so CacheStats reads what the
+// same positions read one At at a time would report. A stripe served
+// uncached is loaded once for the range, and each of its entries counts
+// as a miss.
+//
 // Every block is CRC-checked and structurally validated as it is loaded
 // (in-stripe score order, fence agreement, item and position ranges), so
 // corruption surfaces at the first read that touches it. The Reader

@@ -37,6 +37,52 @@ func TestAboveRAMSeekParity(t *testing.T) {
 	aboveSeekParity(t, db, db)
 }
 
+// TestAboveChunkedParity holds the seek paths to the plain loop on a list
+// long enough that the scan handlers read several chunks, on RAM and on
+// stripe lists whose stripes do not align with the chunks, and holds a
+// phase-1 prefix longer than one chunk, with the scan that resumes
+// after it, to the plain loop too.
+func TestAboveChunkedParity(t *testing.T) {
+	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 3*sortedChunk + 100, M: 1, Seed: 5})
+	ref, err := NewOwner(plainBacked(t, db), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := db.List(0).At(db.N() / 2).Score
+	for _, seek := range []*list.Database{db, stripeBacked(t, db)} {
+		aboveSeekParity(t, db, seek)
+		fast, err := NewOwner(seek, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []*Owner{ref, fast} {
+			if err := o.Open("prefix", bestpos.BitArrayKind); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j, req := range []Request{TopKReq{K: sortedChunk + 7}, AboveReq{T: mid}, AboveReq{T: -1}} {
+			want, werr := ref.Handle("prefix", req)
+			got, gerr := fast.Handle("prefix", req)
+			if werr != nil || gerr != nil {
+				t.Fatalf("req %d: plain %v, seek %v", j, werr, gerr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("req %d (%#v): seek and plain responses diverge", j, req)
+			}
+		}
+		for _, o := range []*Owner{ref, fast} {
+			st, err := o.SessionStats("prefix")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Accesses != (access.Counts{Sorted: int64(db.N())}) || st.Depth != db.N() {
+				t.Fatalf("after the prefix and a full scan: accesses %v, depth %d; want %d sorted, depth %d",
+					st.Accesses, st.Depth, db.N(), db.N())
+			}
+		}
+	}
+}
+
 // aboveSeekParity runs the above-scan scenarios against an owner over
 // seek, a seek-capable copy of the one-list db, and a reference owner
 // over a plain-loop copy, and requires identical responses.

@@ -12,6 +12,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -341,6 +342,58 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// rpcQuery holds the parameters of an /rpc URL.
+type rpcQuery struct{ sid, tracker, seq string }
+
+// parseRPCQuery reads the /rpc parameters out of a raw query string in
+// one pass, without the map url.Values builds for every exchange. It
+// reads what url.Values.Get would: the first value of a parameter wins,
+// and pairs holding a semicolon or a malformed escape are skipped like
+// parameters it does not know. Keys and values are unescaped only when
+// they hold '%' or '+'.
+func parseRPCQuery(raw string) rpcQuery {
+	var q rpcQuery
+	var have [3]bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := queryUnescape(k)
+		if err != nil {
+			continue
+		}
+		var i int
+		var dst *string
+		switch k {
+		case "sid":
+			i, dst = 0, &q.sid
+		case "tracker":
+			i, dst = 1, &q.tracker
+		case "seq":
+			i, dst = 2, &q.seq
+		default:
+			continue
+		}
+		if v, err = queryUnescape(v); err != nil || have[i] {
+			continue
+		}
+		*dst, have[i] = v, true
+	}
+	return q
+}
+
+// queryUnescape is url.QueryUnescape, which only strings holding '%' or
+// '+' need.
+func queryUnescape(s string) (string, error) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, nil
+	}
+	return url.QueryUnescape(s)
+}
+
 func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
@@ -350,13 +403,13 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnsupportedMediaType, "transport: /rpc bodies must be %s, got %q", ContentTypeBinary, ct)
 		return
 	}
-	q := r.URL.Query()
-	sid := q.Get("sid")
+	q := parseRPCQuery(r.URL.RawQuery)
+	sid := q.sid
 	if sid == "" {
 		writeError(w, http.StatusBadRequest, "missing sid parameter")
 		return
 	}
-	seq, err := strconv.ParseUint(cmp.Or(q.Get("seq"), "0"), 10, 64)
+	seq, err := strconv.ParseUint(cmp.Or(q.seq, "0"), 10, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad seq parameter: %v", err)
 		return
@@ -421,7 +474,7 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 		mOwnerExchanges[kind].Inc()
 		mOwnerExchangeSec[kind].Observe(time.Since(start).Seconds())
 	}()
-	if v := q.Get("tracker"); v != "" {
+	if v := q.tracker; v != "" {
 		// The first exchange this replica sees of the session opens it.
 		// A caller that already gave up creates nothing.
 		tracker, err := strconv.ParseUint(v, 10, 8)

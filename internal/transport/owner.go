@@ -15,6 +15,7 @@ import (
 	"topk/internal/access"
 	"topk/internal/bestpos"
 	"topk/internal/list"
+	"topk/internal/store/stripe"
 )
 
 // OwnerStats is the control-plane bookkeeping of one owner: what the
@@ -886,23 +887,45 @@ func (o *Owner) handleTopK(ctx context.Context, s *ownerSession, req TopKReq) (R
 	if err := o.checkNonNegative(); err != nil {
 		return nil, err
 	}
-	out := make([]list.Entry, req.K)
-	for p := 1; p <= req.K; p++ {
-		if err := pollCtx(ctx, p); err != nil {
+	out, err := s.readSorted(ctx, 1, req.K, make([]list.Entry, 0, req.K))
+	if err != nil {
+		return nil, err
+	}
+	return TopKResp{Entries: out}, nil
+}
+
+// sortedChunk is the longest run of positions a scan handler reads in
+// one Probe.SortedRange call. Chunks are aligned to multiples of it, so
+// on a stripe list written with the default capacity each chunk is one
+// stripe and one cache lookup.
+const sortedChunk = stripe.DefaultStripeCap
+
+// readSorted performs the sorted accesses to positions from..to
+// (inclusive, from <= to) of the session's list, appending the entries
+// to out and advancing the session's depth with them. It reads in
+// aligned chunks of at most sortedChunk positions and checks the
+// deadline before each chunk, the scans' counterpart of pollCtx.
+func (s *ownerSession) readSorted(ctx context.Context, from, to int, out []list.Entry) ([]list.Entry, error) {
+	for from <= to {
+		if err := ctx.Err(); err != nil {
+			mOwnerDeadline.Inc()
 			return nil, err
 		}
-		out[p-1] = s.pr.Sorted(0, p)
+		end := min(((from-1)/sortedChunk+1)*sortedChunk, to) // the end of from's chunk
+		out = s.pr.SortedRange(0, from, end, out)
+		s.depth = end
+		from = end + 1
 	}
-	s.depth = req.K
-	return TopKResp{Entries: out}, nil
+	return out, nil
 }
 
 // scoreSeeker is the optional fast path of the above scan: immutable
 // lists resolve the first position whose score falls strictly below a
 // threshold by binary search — *list.List over its entries, stripe-backed
 // lists over their fence pointers without loading a single block (see
-// internal/store/stripe and ROADMAP 3c). A *list.Mutable does not seek:
-// its snapshot can change between the seek and the scan.
+// internal/store/stripe). Both also copy a position range in bulk, which
+// the seek path reads through Probe.SortedRange. A *list.Mutable does
+// not seek: its snapshot can change between the seek and the scan.
 type scoreSeeker interface {
 	SeekScore(t float64) int
 }
@@ -910,15 +933,17 @@ type scoreSeeker interface {
 // handleAbove serves TPUT phase 2: the owner continues its scan past the
 // already-sent prefix and returns every entry with score >= T. The read
 // that discovers the first score below T is charged — it was performed.
-// The deadline poll sits inside the loop because this is the one
+// The deadline is checked inside the scan because this is the one
 // handler whose work can span a whole list tail.
 //
 // On seek-capable lists the cutoff — the position of that charged
 // terminating read — is known up front from the list's seek (on stripe
 // lists the fence index, which bounds the scan without touching a block
-// past it), so the reply is sized exactly instead of grown. Every read
-// the plain loop would perform still happens, in the same order, through
-// the same probe, so the accounting is identical by construction (the
+// past it), so the reply is sized exactly and the entries above T are
+// read as ranges, one stripe-aligned chunk per Probe.SortedRange call.
+// The probe charges and notes each position of a range as one sorted
+// access, and the terminating read is the same single read the plain
+// loop performs, so the accounting is identical by construction (the
 // above-seek parity tests pin this for RAM and stripe lists).
 func (o *Owner) handleAbove(ctx context.Context, s *ownerSession, req AboveReq) (Response, error) {
 	if err := o.checkNonNegative(); err != nil {
@@ -927,28 +952,18 @@ func (o *Owner) handleAbove(ctx context.Context, s *ownerSession, req AboveReq) 
 	if sk, ok := o.db.List(0).(scoreSeeker); ok {
 		cut := sk.SeekScore(req.T) // first position with score < T; n+1 when none
 		start := s.depth + 1
-		end := cut
-		if end > o.n {
-			end = o.n
-		}
-		if end < start && start <= o.n {
-			// The whole tail is below T: the plain loop still performs
-			// (and charges) the one read that discovers it.
-			end = start
-		}
 		var out []list.Entry
 		if last := min(cut-1, o.n); last >= start {
-			out = make([]list.Entry, 0, last-start+1)
-		}
-		for p := start; p <= end; p++ {
-			if err := pollCtx(ctx, p); err != nil {
+			var err error
+			if out, err = s.readSorted(ctx, start, last, make([]list.Entry, 0, last-start+1)); err != nil {
 				return nil, err
 			}
-			e := s.pr.Sorted(0, p)
+		}
+		if p := max(cut, start); p <= o.n {
+			// The read that discovers the first score below T, also when
+			// the whole tail was below T already.
+			s.pr.Sorted(0, p)
 			s.depth = p
-			if p < cut {
-				out = append(out, e)
-			}
 		}
 		return AboveResp{Entries: out}, nil
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"runtime"
 	"strings"
@@ -1252,5 +1253,59 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 	if _, err := NewServer(nil, 0); err == nil {
 		t.Error("nil database accepted")
+	}
+}
+
+// TestRPCQueryParams: /rpc reads sid, tracker and seq as url.Values.Get
+// would — a percent-encoded sid is unescaped, and of a repeated
+// parameter the first value wins — end to end and against
+// url.ParseQuery over malformed and unusual query strings.
+func TestRPCQueryParams(t *testing.T) {
+	srv, err := NewServer(testDB(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Owner().Open("s 1", bestpos.BitArrayKind); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body, err := AppendRequestBinary(nil, SortedReq{Pos: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		query string
+		want  int
+	}{
+		{"sid=s%201", http.StatusOK},        // percent-encoded sid
+		{"sid=s+1", http.StatusOK},          // '+' is a space
+		{"sid=s%201&sid=zz", http.StatusOK}, // the first sid wins
+		{"sid=zz&sid=s%201", http.StatusNotFound},
+		{"sid=s%201&seq=x&seq=1", http.StatusBadRequest}, // the first seq wins
+		{"sid=%zz&sid=s%201", http.StatusOK},             // a malformed pair is skipped
+		{"sid=&sid=s%201", http.StatusBadRequest},        // an empty first sid is missing
+		{"%73id=s%201", http.StatusOK},                   // an escaped key
+	} {
+		resp, err := http.Post(ts.URL+"/rpc/sorted?"+c.query, ContentTypeBinary, strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("/rpc/sorted?%s: status %d, want %d", c.query, resp.StatusCode, c.want)
+		}
+	}
+
+	for _, raw := range []string{
+		"", "sid=a", "sid=a&sid=b", "sid=&sid=b", "sid", "sid&sid=b", "&&sid=a&", "sid=a;b&sid=c",
+		"sid=%41%42&tracker=2&seq=7", "seq=1&seq=2&tracker=+3", "sid=%zz&sid=ok", "%zz=1&sid=x",
+		"si%64=y&sid=z", "sid=a=b", "other=1&sid=q&tracker=&tracker=4", "=x&sid=w",
+	} {
+		vals, _ := url.ParseQuery(raw)
+		want := rpcQuery{sid: vals.Get("sid"), tracker: vals.Get("tracker"), seq: vals.Get("seq")}
+		if got := parseRPCQuery(raw); got != want {
+			t.Errorf("parseRPCQuery(%q) = %+v, url.Values reads %+v", raw, got, want)
+		}
 	}
 }
