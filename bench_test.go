@@ -938,3 +938,26 @@ func BenchmarkAboveScan(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTPUTOriginator measures one TPUT query over the in-process
+// transport at the cluster-tput-disk workload's shape — n=100,000, m=4,
+// k=20, uniform scores — where phase 2 ships about 300,000 entries to
+// the originator. Owners are RAM lists, so ns/op, B/op and allocs/op are
+// dominated by the originator's bookkeeping and the owners' scans, with
+// no wire or disk in between.
+func BenchmarkTPUTOriginator(b *testing.B) {
+	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 100_000, M: 4, Seed: 1})
+	lb, err := transport.NewLoopback(db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lb.Close()
+	opts := dist.Options{K: 20, Scoring: score.Sum{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dist.TPUTOver(context.Background(), lb, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -79,13 +79,14 @@
 // best-position scores — and the default. TPUT (Cao & Wang) trades
 // per-access exchanges for three fixed batched round trips; it requires
 // Sum scoring over non-negative scores. Its originator cost is linear
-// in what the owners send: a column-major n·m score table (one column
-// per list) takes each phase-2 entry as it arrives and folds it into a
+// in what the owners send, with no n·m score table: each phase-2 entry
+// sets one bit in its list's "known" bit plane and is folded into a
 // per-item running sum in list order — the centralized algorithms'
-// arithmetic, so answers match the oracle bit for bit — after which
-// only the at most m·k phase-1 items and the phase-3 fetches are
-// re-summed, and one pass each finds τ2 and bounds the phase-3
-// candidates. TPUTA is its adaptive
+// arithmetic, so answers match the oracle bit for bit. Only the at most
+// m·k phase-1 items and the items near the threshold keep per-list
+// score rows; one pass over the planes finds τ2, and one sweep ranks the
+// resolved items and keeps the near ones, whose exact list-order bounds
+// pick the phase-3 candidates. TPUTA is its adaptive
 // refinement: the phase-2 threshold budget is reshaped from the phase-1
 // boundary scores, so lists with nothing to contribute hand their share
 // to the dense ones and the aggregate scan never deepens.

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -367,6 +368,70 @@ func TestTPUTBadOwnerData(t *testing.T) {
 				}
 				if msg := err.Error(); !strings.HasPrefix(msg, "dist: ") || !strings.Contains(msg, fmt.Sprintf("owner %d", bad)) {
 					t.Fatalf("error %q does not name owner %d as a dist error", msg, bad)
+				}
+			})
+		}
+	}
+
+	// A repeated report is no error: the first report of a cell wins and
+	// later ones are ignored, so the answer is the untampered one. The
+	// repeats carry other scores, so a later report taking over shows.
+	var top list.Entry // the bad owner's phase-1 top entry in this run
+	var repeated bool  // whether this run's edit added a repeat
+	repeats := map[string]func(transport.Response) transport.Response{
+		"phase2/repeat": func(resp transport.Response) transport.Response {
+			if r, ok := resp.(transport.AboveResp); ok && len(r.Entries) > 0 {
+				r.Entries = append(append([]list.Entry(nil), r.Entries...), r.Entries[0])
+				repeated = true
+				return r
+			}
+			return resp
+		},
+		"phase2/repeat-rescored": func(resp transport.Response) transport.Response {
+			if r, ok := resp.(transport.AboveResp); ok && len(r.Entries) > 0 {
+				e := r.Entries[0]
+				e.Score *= 2
+				r.Entries = append(append([]list.Entry(nil), r.Entries...), e)
+				repeated = true
+				return r
+			}
+			return resp
+		},
+		"phase2/repeat-phase1": func(resp transport.Response) transport.Response {
+			switch r := resp.(type) {
+			case transport.TopKResp:
+				top = r.Entries[0]
+			case transport.AboveResp:
+				r.Entries = append(append([]list.Entry(nil), r.Entries...), list.Entry{Item: top.Item, Score: top.Score / 2})
+				repeated = true
+				return r
+			}
+			return resp
+		},
+	}
+	for name, edit := range repeats {
+		for algName, run := range map[string]func(context.Context, transport.Transport, Options) (*Result, error){"tput": TPUTOver, "tput-a": TPUTAOver} {
+			t.Run(name+"/"+algName, func(t *testing.T) {
+				lb, err := transport.NewLoopback(db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer lb.Close()
+				opts := Options{K: 10, Scoring: score.Sum{}}
+				want, err := run(context.Background(), lb, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				repeated = false
+				got, err := run(context.Background(), &tamper{Transport: lb, owner: bad, edit: edit}, opts)
+				if err != nil {
+					t.Fatalf("repeated report refused: %v", err)
+				}
+				if !repeated {
+					t.Fatal("the tampered run sent no repeat")
+				}
+				if !reflect.DeepEqual(got.Items, want.Items) || math.Float64bits(got.Threshold) != math.Float64bits(want.Threshold) {
+					t.Fatalf("answers %v (threshold %v), untampered %v (threshold %v)", got.Items, got.Threshold, want.Items, want.Threshold)
 				}
 			})
 		}

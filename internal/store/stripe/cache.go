@@ -138,6 +138,22 @@ func (c *cache) get(k ckey, hint *atomic.Pointer[block], load func() (val any, s
 	return val, nil
 }
 
+// peek serves k as a hit when it is resident, hinting it like get, and
+// otherwise reports whether a block of the given accounted size would be
+// admitted now without an eviction. It loads nothing and counts no miss.
+func (c *cache) peek(k ckey, hint *atomic.Pointer[block], size int64) (val any, fits bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[k]; ok {
+		c.lru.MoveToFront(e.elem)
+		c.hits++
+		e.setHint()
+		mCacheHits.Inc()
+		return e.val, true
+	}
+	return nil, c.resident+size <= c.budget
+}
+
 // admits reports whether a block of the given accounted size is
 // admitted on a miss; a larger one is served uncached, so every read of
 // it is a miss. The budget is fixed at construction, so no lock is

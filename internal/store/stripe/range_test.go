@@ -1,9 +1,16 @@
 package stripe
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,34 +87,72 @@ func TestAppendRangePanics(t *testing.T) {
 	}
 }
 
-// TestAppendRangeCacheCounts: a range read reports the cache traffic the
-// per-entry loop would — one hit or miss per entry read, exactly the
-// same tallies on a single reader — while the uncached-block case (a
-// budget below one stripe) loads each stripe once yet counts every
-// entry as a miss and never hints.
+// TestAppendRangeCacheCounts: a range read counts one cache hit or miss
+// per entry read. With a budget that holds the whole list it reports
+// exactly the tallies of the per-entry loop. With a budget of three
+// stripes, the first three stripes the reads enter are admitted and stay
+// resident, and every later stripe is read past the cache: no eviction,
+// and a miss per entry read from it. With a budget below one stripe,
+// each stripe is loaded once, every entry is a miss and nothing is
+// hinted.
 func TestAppendRangeCacheCounts(t *testing.T) {
 	const n, stripeCap = 1024, 64
 	db := genDB(t, n, 1)
 	wopts := WriteOptions{StripeCap: stripeCap, PosPageCap: stripeCap}
 	ranges := [][2]int{{1, n}, {5, 300}, {300, 301}, {700, 1000}, {1, 1}, {n - 10, n}}
-
-	// Three stripes of budget: reads evict as they go.
-	byRange := openBytes(t, db, wopts, Options{CacheBytes: 3 * stripeCap * entryBytes})
-	byEntry := openBytes(t, db, wopts, Options{CacheBytes: 3 * stripeCap * entryBytes})
 	var reads int64
+	for _, rg := range ranges {
+		reads += int64(rg[1] - rg[0] + 1)
+	}
+
+	// The whole list fits: range reads tally as the At loop does.
+	byRange := openBytes(t, db, wopts, Options{CacheBytes: n * entryBytes})
+	byEntry := openBytes(t, db, wopts, Options{CacheBytes: n * entryBytes})
 	for _, rg := range ranges {
 		byRange.List(0).AppendRange(nil, rg[0], rg[1])
 		atLoop(byEntry.List(0), nil, rg[0], rg[1])
-		reads += int64(rg[1] - rg[0] + 1)
 	}
 	got, want := byRange.CacheStats(), byEntry.CacheStats()
 	if got != want {
 		t.Fatalf("range reads tally %+v, per-entry reads %+v", got, want)
 	}
-	if got.Hits+got.Misses != reads || got.Evictions == 0 {
+	if got.Hits+got.Misses != reads || got.Evictions != 0 {
 		t.Fatalf("hits %d + misses %d over %d entries read (evictions %d)", got.Hits, got.Misses, reads, got.Evictions)
 	}
 	checkHints(t, byRange)
+
+	// Three stripes of budget: the reads bypass what does not fit.
+	const budgetStripes = 3
+	bypass := openBytes(t, db, wopts, Options{CacheBytes: budgetStripes * stripeCap * entryBytes})
+	resident := map[int]bool{}
+	var hits, misses int64
+	for _, rg := range ranges {
+		bypass.List(0).AppendRange(nil, rg[0], rg[1])
+		for p := rg[0]; p <= rg[1]; {
+			si := (p - 1) / stripeCap
+			read := int64(min(rg[1], (si+1)*stripeCap) - p + 1)
+			switch {
+			case resident[si]:
+				hits += read
+			case len(resident) < budgetStripes:
+				resident[si] = true
+				misses++
+				hits += read - 1
+			default:
+				misses += read
+			}
+			p += int(read)
+		}
+	}
+	got = bypass.CacheStats()
+	if got.Hits != hits || got.Misses != misses || got.Evictions != 0 || got.Hits+got.Misses != reads {
+		t.Fatalf("range reads over a 3-stripe budget tally %+v, want %d hits, %d misses of %d entries read and no eviction",
+			got, hits, misses, reads)
+	}
+	if got.Resident != budgetStripes*stripeCap*entryBytes {
+		t.Fatalf("%d bytes resident, want the %d stripes first read", got.Resident, budgetStripes)
+	}
+	checkHints(t, bypass)
 
 	loads := 0
 	uncached := openBytes(t, db, wopts, Options{CacheBytes: 100})
@@ -209,5 +254,164 @@ func TestAppendRangeConcurrent(t *testing.T) {
 		if b := l.hint.Load(); b != nil {
 			t.Fatalf("list %d still hints stripe %d after Close", l.idx, b.idx)
 		}
+	}
+}
+
+// TestRangeBypassKeepsResident: under -race, scans of a whole list run
+// beside point reads of the stripes made resident before them, over a
+// budget that holds exactly those stripes. The scans read past the
+// cache: answers match the RAM lists, nothing is evicted, the same
+// stripes stay resident, every entry read is counted once as a hit or
+// a miss, and every hint still points at a resident block.
+func TestRangeBypassKeepsResident(t *testing.T) {
+	const n, m, stripeCap = 4096, 2, 256
+	db := genDB(t, n, m)
+	sdb := openBytes(t, db, WriteOptions{StripeCap: stripeCap, PosPageCap: stripeCap},
+		Options{CacheBytes: 3 * stripeCap * entryBytes})
+	hot := []int{5, 9, 12} // stripes of list 0
+	var reads atomic.Int64
+	for _, si := range hot {
+		sdb.List(0).At(si*stripeCap + 1)
+		reads.Add(1)
+	}
+	residentKeys := func() []ckey {
+		sdb.cache.mu.Lock()
+		defer sdb.cache.mu.Unlock()
+		keys := make([]ckey, 0, len(sdb.cache.entries))
+		for k := range sdb.cache.entries {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, func(a, b ckey) int { return int(a.idx) - int(b.idx) })
+		return keys
+	}
+	before := residentKeys()
+	if len(before) != len(hot) {
+		t.Fatalf("%d blocks resident after the point reads, want %d", len(before), len(hot))
+	}
+	checkHints(t, sdb)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var buf []list.Entry
+			for r := 0; r < 20; r++ {
+				if g%2 == 0 { // whole-list scans of either list
+					i := rng.Intn(m)
+					buf = sdb.List(i).AppendRange(buf[:0], 1, n)
+					reads.Add(n)
+					if want := atLoop(db.List(i), nil, 1, n); !reflect.DeepEqual(buf, want) {
+						t.Errorf("list %d scan diverges from the RAM list", i)
+						return
+					}
+					continue
+				}
+				for q := 0; q < 50; q++ { // point reads inside the hot stripes
+					p := hot[rng.Intn(len(hot))]*stripeCap + 1 + rng.Intn(stripeCap)
+					reads.Add(1)
+					if got, want := sdb.List(0).At(p), db.List(0).At(p); got != want {
+						t.Errorf("At(%d) = %+v, want %+v", p, got, want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if after := residentKeys(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("resident blocks %v after the scans, want %v", after, before)
+	}
+	st := sdb.CacheStats()
+	if st.Evictions != 0 {
+		t.Fatalf("scans evicted %d blocks", st.Evictions)
+	}
+	if got := st.Hits + st.Misses; got != reads.Load() {
+		t.Fatalf("hits %d + misses %d = %d, want one per entry read: %d", st.Hits, st.Misses, got, reads.Load())
+	}
+	checkHints(t, sdb)
+	if b := sdb.List(1).hint.Load(); b != nil {
+		t.Fatalf("list 1 hints stripe %d, which scans read past the cache", b.idx)
+	}
+}
+
+// TestRangeBypassChecksBlocks: a stripe read past the cache is checked
+// as fully as one loaded into it. Each corruption of the first stripe —
+// a flipped bit, and under a recomputed CRC an item out of range, a NaN
+// score, scores out of order and a fence disagreement — makes Verify
+// fail, and makes both a point read through the cache and a range read
+// past it panic with an error naming the stripe.
+func TestRangeBypassChecksBlocks(t *testing.T) {
+	const n, stripeCap = 300, 64
+	db := genDB(t, n, 1)
+	raw, err := WriteBytes(db, WriteOptions{StripeCap: stripeCap, PosPageCap: stripeCap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine, err := OpenReader(bytes.NewReader(raw), int64(len(raw)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := pristine.ft.lists[0].stripes[0]
+	pristine.Close()
+	items, scores := int(st.off)+4, int(st.off)+4+4*st.count
+	score := func(b []byte, j int) float64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b[scores+8*j:]))
+	}
+	setScore := func(b []byte, j int, s float64) {
+		binary.LittleEndian.PutUint64(b[scores+8*j:], math.Float64bits(s))
+	}
+	cases := map[string]func(b []byte) (recrc bool){
+		"bit flip":     func(b []byte) bool { b[items] ^= 0xff; return false },
+		"item range":   func(b []byte) bool { binary.LittleEndian.PutUint32(b[items+4:], n); return true },
+		"nan score":    func(b []byte) bool { setScore(b, 3, math.NaN()); return true },
+		"out of order": func(b []byte) bool { s := score(b, 2); setScore(b, 2, score(b, 3)); setScore(b, 3, s); return true },
+		"fence": func(b []byte) bool {
+			setScore(b, 0, (score(b, 0)+score(b, 1))/2)
+			return true
+		},
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			b := bytes.Clone(raw)
+			if corrupt(b) {
+				end := int(st.off) + st.length - 4
+				binary.LittleEndian.PutUint32(b[end:], crc32.ChecksumIEEE(b[st.off:end]))
+			}
+			if bytes.Equal(b, raw) {
+				t.Fatal("corruption left the file unchanged")
+			}
+			for _, read := range []struct {
+				name   string
+				budget int64
+				read   func(l *List)
+			}{
+				{"point read", 0, func(l *List) { l.At(2) }},
+				{"range read past the cache", 100, func(l *List) { l.AppendRange(nil, 2, n) }},
+			} {
+				sdb, err := OpenReader(bytes.NewReader(b), int64(len(b)), Options{CacheBytes: read.budget})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sdb.Verify(); err == nil {
+					t.Fatal("Verify accepted the corrupted stripe")
+				}
+				func() {
+					defer func() {
+						if msg := fmt.Sprint(recover()); !strings.Contains(msg, "list 0 stripe 0") {
+							t.Errorf("%s: panic %q does not name list 0 stripe 0", read.name, msg)
+						}
+					}()
+					read.read(sdb.List(0))
+				}()
+				if st := sdb.CacheStats(); st.Resident != 0 {
+					t.Errorf("%s: %d bytes resident after a failed load", read.name, st.Resident)
+				}
+			}
+		})
 	}
 }

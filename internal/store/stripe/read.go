@@ -323,42 +323,55 @@ func (db *DB) readBlock(off int64, length int, what blockRef) ([]byte, *[]byte, 
 // loadEntryStripe reads, checks and decodes one entry stripe, without
 // touching the cache.
 func (db *DB) loadEntryStripe(li, si int) ([]list.Entry, error) {
+	count := db.ft.lists[li].stripes[si].count
+	return db.appendEntryStripe(make([]list.Entry, 0, count), li, si, 0, count)
+}
+
+// appendEntryStripe reads and checks one entry stripe in full — CRC,
+// count, item range, NaN, order and fences — and appends its entries at
+// stripe offsets [lo,hi) to dst, without touching the cache. It is the
+// one decoder of entry stripes: a miss decodes the whole stripe into a
+// block, and a range read the cache cannot hold decodes straight into
+// its destination.
+func (db *DB) appendEntryStripe(dst []list.Entry, li, si, lo, hi int) ([]list.Entry, error) {
 	st := db.ft.lists[li].stripes[si]
 	what := blockRef{list: li, idx: si}
 	payload, bp, err := db.readBlock(st.off, st.length, what)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	defer blockBufs.Put(bp)
 	if got := int(binary.LittleEndian.Uint32(payload[:4])); got != st.count {
-		return nil, fmt.Errorf("stripe: %v holds %d entries, footer says %d", what, got, st.count)
+		return dst, fmt.Errorf("stripe: %v holds %d entries, footer says %d", what, got, st.count)
 	}
 	items := payload[4 : 4+4*st.count]
 	scores := payload[4+4*st.count:]
-	out := make([]list.Entry, st.count)
+	first := math.Float64frombits(binary.LittleEndian.Uint64(scores))
 	prev := math.Inf(1)
-	for j := range out {
+	for j := 0; j < st.count; j++ {
 		item := int32(binary.LittleEndian.Uint32(items[4*j:]))
 		sc := math.Float64frombits(binary.LittleEndian.Uint64(scores[8*j:]))
 		if item < 0 || int(item) >= db.ft.n {
-			return nil, fmt.Errorf("stripe: %v position %d: item %d out of range [0,%d)", what, st.firstPos+j, item, db.ft.n)
+			return dst, fmt.Errorf("stripe: %v position %d: item %d out of range [0,%d)", what, st.firstPos+j, item, db.ft.n)
 		}
 		if math.IsNaN(sc) {
-			return nil, fmt.Errorf("stripe: %v position %d: NaN score", what, st.firstPos+j)
+			return dst, fmt.Errorf("stripe: %v position %d: NaN score", what, st.firstPos+j)
 		}
 		if sc > prev {
-			return nil, fmt.Errorf("stripe: %v position %d: scores out of order (%v > %v)", what, st.firstPos+j, sc, prev)
+			return dst, fmt.Errorf("stripe: %v position %d: scores out of order (%v > %v)", what, st.firstPos+j, sc, prev)
 		}
 		prev = sc
-		out[j] = list.Entry{Item: list.ItemID(item), Score: sc}
+		if lo <= j && j < hi {
+			dst = append(dst, list.Entry{Item: list.ItemID(item), Score: sc})
+		}
 	}
 	// The fences are the index every fence-guided read trusts; a stripe
 	// that disagrees with its own footer record is corrupt.
-	if out[0].Score != st.maxScore || out[st.count-1].Score != st.minScore {
-		return nil, fmt.Errorf("stripe: %v scores [%v,%v] disagree with its fences [%v,%v]",
-			what, out[st.count-1].Score, out[0].Score, st.minScore, st.maxScore)
+	if first != st.maxScore || prev != st.minScore {
+		return dst, fmt.Errorf("stripe: %v scores [%v,%v] disagree with its fences [%v,%v]",
+			what, prev, first, st.minScore, st.maxScore)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // loadPosPage reads, checks and decodes one id→position page, without
@@ -494,12 +507,19 @@ func (l *List) At(p int) list.Entry {
 
 // AppendRange appends the entries at 1-based positions from..to
 // (inclusive) to dst and returns the extended slice, with the same
-// panics as At. It enters each stripe the range covers once — from the
-// hint or through the cache — and copies the covered entries out of it,
-// yet counts one cache hit or miss per entry, as an At loop would: the
-// rest of a resident stripe's entries are hint hits, and every entry of
-// a stripe served uncached (larger than the whole budget) is a miss,
-// though the stripe is loaded only once.
+// panics as At. It enters each stripe the range covers once and copies
+// the covered entries out, counting one cache hit or miss per entry
+// read, as an At loop would:
+//
+//   - a hinted or resident stripe is served from the cache, and every
+//     entry read from it is a hit;
+//   - a stripe that is neither is loaded through the cache, a miss and
+//     then hint hits, when it fits the budget without an eviction;
+//   - any other stripe is read, checked in full and decoded straight
+//     into dst. It is not admitted, evicts nothing and is never hinted,
+//     and every entry read from it is a miss. A scan longer than the
+//     cache thus leaves the resident blocks of point reads in place
+//     instead of cycling every stripe through the LRU.
 func (l *List) AppendRange(dst []list.Entry, from, to int) []list.Entry {
 	n, sc := l.db.ft.n, l.db.ft.stripeCap
 	if from < 1 || from > to || to > n {
@@ -508,16 +528,31 @@ func (l *List) AppendRange(dst []list.Entry, from, to int) []list.Entry {
 	for from <= to {
 		si := (from - 1) / sc
 		lo, hi := from-1-si*sc, min(to-si*sc, sc)
-		b := l.stripe(si)
-		dst = append(dst, b.ents[lo:hi]...)
-		if rest := int64(hi - lo - 1); rest > 0 {
-			if l.db.cache.admits(entryBytes * int64(len(b.ents))) {
-				l.hintHits.Add(rest)
-			} else {
-				l.db.cache.addMisses(rest)
-			}
-		}
 		from += hi - lo
+		if b := l.hint.Load(); b != nil && b.idx == si {
+			dst = append(dst, b.ents[lo:hi]...)
+			l.hintHits.Add(int64(hi - lo))
+			continue
+		}
+		l.flushHits()
+		size := entryBytes * int64(l.db.ft.lists[l.idx].stripes[si].count)
+		v, fits := l.db.cache.peek(ckey{kind: kindEntries, list: int32(l.idx), idx: int32(si)}, &l.hint, size)
+		if v == nil && !fits {
+			var err error
+			if dst, err = l.db.appendEntryStripe(dst, l.idx, si, lo, hi); err != nil {
+				panic(err)
+			}
+			l.db.cache.addMisses(int64(hi - lo))
+			continue
+		}
+		b, _ := v.(*block)
+		if b == nil {
+			b = l.db.entryStripe(l, si)
+		}
+		dst = append(dst, b.ents[lo:hi]...)
+		// Entering the stripe was the first read's hit or miss; the
+		// block is resident now, so the rest are hits.
+		l.hintHits.Add(int64(hi - lo - 1))
 	}
 	return dst
 }

@@ -50,7 +50,9 @@
 // the decoded payloads. The resident total never exceeds the budget — a
 // block larger than the whole budget is served uncached — and cache
 // traffic is exported through internal/obs (hits, misses, evictions,
-// resident bytes) next to the transport catalogue.
+// resident bytes) next to the transport catalogue. Point reads (At,
+// PositionOf, ScoreOf) always go through the LRU; range reads admit only
+// what fits without an eviction (see AppendRange below).
 //
 // Each List keeps a hint: an atomic pointer to the last entry stripe the
 // cache returned for it. A read inside the hinted stripe takes no lock
@@ -66,12 +68,17 @@
 // read, so Hits is exact when read. LRU recency is set when a read
 // enters a stripe, not by every read inside it.
 //
-// AppendRange reads a run of positions in bulk: it enters the cache once
-// per stripe the range covers and copies the covered entries out, yet
-// still counts one hit or miss per entry, so CacheStats reads what the
-// same positions read one At at a time would report. A stripe served
-// uncached is loaded once for the range, and each of its entries counts
-// as a miss.
+// AppendRange reads a run of positions in bulk, entering each stripe the
+// range covers once and counting one hit or miss per entry read. A
+// stripe that is hinted or resident is copied out of the cache, and one
+// that is neither is admitted when it fits the budget without an
+// eviction. Any other stripe — every stripe of a scan longer than a full
+// cache — is read, checked in full and decoded straight into the
+// caller's slice: it is not admitted, evicts nothing and is never
+// hinted, and each of its entries counts as a miss. A scan thus never
+// cycles the cache's resident blocks out, and allocates no decoded
+// block it would drop again. While the budget holds everything read, the
+// tallies are exactly those of the same positions read one At at a time.
 //
 // Every block is CRC-checked and structurally validated as it is loaded
 // (in-stripe score order, fence agreement, item and position ranges), so

@@ -104,9 +104,9 @@ var ErrNegativeScore = errors.New("TPUT requires non-negative scores")
 
 // ErrReadOnly reports an update sent to an owner whose list is not
 // mutable: it was loaded read-only (the default), or is stripe-backed —
-// disk stripes stay read-only until the stripe write path exists
-// (ROADMAP 3b). The HTTP server maps it to 400: re-sending the update
-// cannot succeed.
+// the stripe format is written once by stripe.Create and has no update
+// path. The HTTP server maps it to 400: re-sending the update cannot
+// succeed.
 var ErrReadOnly = errors.New("owner list is read-only")
 
 // DefaultSessionTTL is the idle bound after which an owner may evict a
